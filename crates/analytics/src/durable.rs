@@ -97,7 +97,7 @@ impl DurableConfig {
     fn effective_policy(&self) -> Policy {
         self.policy
             .clone()
-            .unwrap_or_else(|| SoakDriver::derive_policy(&self.soak))
+            .unwrap_or_else(|| self.soak.derive_policy())
     }
 }
 
@@ -747,7 +747,7 @@ mod tests {
 
     #[test]
     fn config_record_carries_an_explicit_policy() {
-        let mut policy = SoakDriver::derive_policy(&short());
+        let mut policy = short().derive_policy();
         policy.site = "warehouse-7".to_string();
         policy.alarms_to_escalate = 5;
         let config = DurableConfig {
@@ -766,7 +766,7 @@ mod tests {
 
     #[test]
     fn crashed_policy_run_resumes_under_the_same_policy() {
-        let mut policy = SoakDriver::derive_policy(&short());
+        let mut policy = short().derive_policy();
         policy.site = "aisle-3".to_string();
         policy.alarms_to_escalate = 3;
         let config = DurableConfig {
@@ -808,7 +808,7 @@ mod tests {
 
     #[test]
     fn degenerate_policy_is_rejected_before_any_bytes_are_written() {
-        let mut policy = SoakDriver::derive_policy(&short());
+        let mut policy = short().derive_policy();
         policy.alarms_to_escalate = 0;
         let config = DurableConfig {
             soak: short(),

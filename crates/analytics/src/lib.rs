@@ -44,7 +44,6 @@ pub mod parallel;
 pub mod policy;
 pub mod pool;
 pub mod report;
-pub mod scan;
 pub mod session;
 pub mod soak;
 pub mod stats;
@@ -66,15 +65,8 @@ pub use parallel::{parallel_count, parallel_map, worker_threads};
 pub use policy::{EscalateAction, Policy, PolicyAction, PolicyError, POLICY_HEADER};
 pub use pool::{PooledEngine, POOL_THRESHOLD};
 pub use report::{sparkline, Table};
-pub use scan::{
-    chunked_min_scan, chunked_min_scan_counting, parallel_min_scan, run_round_chunked_observed,
-    run_round_parallel, run_round_parallel_observed,
-};
 pub use session::{
     MonitoringSession, SessionBuilder, SessionEvent, SessionLadderState, TickProtocol,
 };
-pub use soak::{
-    run_soak, run_soak_observed, run_soak_observed_threads, run_soak_policy,
-    run_soak_policy_observed, run_soak_policy_observed_threads, SoakConfig, SoakCounts, SoakReport,
-};
+pub use soak::{run_soak, run_soak_with, SoakConfig, SoakCounts, SoakReport};
 pub use stats::{Proportion, Summary};

@@ -28,22 +28,29 @@
 //!
 //! ## Determinism
 //!
-//! The merge is the index-ordered discipline proven in
-//! [`crate::scan`]: the global minimum is the min over shard minima,
-//! and the winners are exactly the members of every shard whose
-//! minimum equals it. A round's observables — bitstring,
-//! announcement count, probe totals — depend only on the *set* of
-//! active tags per announcement, never on array order or shard
-//! boundaries, so any shard count (including 1, the scalar engine)
-//! produces byte-identical results. The serial skeleton (nonce order,
-//! sub-frame shrinking, uniform-key collapse) is not reimplemented: it
-//! is the same [`SubframeCursor`] the scalar engine runs.
+//! Every shard scans with the same batched kernel the scalar engine
+//! runs ([`ScanJob::scan_range_batched`]), so per-tag slots are
+//! computed by exactly the same code. The merge is index-ordered and
+//! never depends on thread scheduling:
 //!
-//! Probe accounting keeps the established contract
-//! (see [`crate::scan::chunked_min_scan_counting`]): `probes` is
-//! thread-invariant (`Σ active_i` for any exact engine), while
-//! `filtered` is strategy-dependent diagnostics (the candidate filter
-//! warms up per shard).
+//! 1. the global minimum is the min over shard minima;
+//! 2. the winners are exactly the members of every shard whose minimum
+//!    equals it — each shard's list ascending in its own index order,
+//!    and shards covering contiguous, index-ordered ranges of the load,
+//!    which is the sequential scanner's contract.
+//!
+//! A round's observables — bitstring, announcement count, probe
+//! totals — therefore depend only on the *set* of active tags per
+//! announcement, never on array order or shard boundaries, so any
+//! shard count (including 1, the scalar engine) produces byte-identical
+//! results per announcement, not merely in aggregate. The serial
+//! skeleton (nonce order, sub-frame shrinking, uniform-key collapse) is
+//! not reimplemented: it is the same [`SubframeCursor`] the scalar
+//! engine runs.
+//!
+//! Probe accounting: `probes` is thread-invariant (`Σ active_i` for
+//! any exact engine), while `filtered` is strategy-dependent
+//! diagnostics (the candidate filter warms up per shard).
 //!
 //! ## Small rounds fall back to scalar
 //!
@@ -54,24 +61,21 @@
 //! writes fallback events into `obs`: an exact engine must be
 //! observably indistinguishable from the scalar engine at every
 //! thread count, or the committed golden digests would fork on the
-//! operator's `--threads` choice. The flight-ring
-//! `ObsEvent::ScalarFallback` event lives in the reference scanner's
-//! observed entry point instead
-//! ([`crate::scan::run_round_parallel_observed`]). A pool configured
-//! with `threads <= 1` never spawns workers and *is* the scalar
-//! engine (no fallback accounting: scalar is the chosen path, not a
-//! fallback).
+//! operator's `--threads` choice. A pool configured with
+//! `threads <= 1` never spawns workers and *is* the scalar engine (no
+//! fallback accounting: scalar is the chosen path, not a fallback).
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use tagwatch_core::engine::{
-    RoundEngine, RoundScratch, ScanJob, ScanParams, ScanStats, SubframeCursor,
+    record_scan_phases, RoundEngine, RoundScratch, ScanJob, ScanParams, ScanStats, SubframeCursor,
 };
 use tagwatch_core::nonce::NonceSequence;
 use tagwatch_core::{Bitstring, CoreError};
 use tagwatch_obs::Obs;
+use tagwatch_sim::hash::FastMod;
 use tagwatch_sim::{Counter, FrameSize, TagId, TagPopulation};
 
 /// Active-set size below which a pooled round runs on the embedded
@@ -117,8 +121,6 @@ enum Cmd {
         /// the shard retires its stored members iff its own last
         /// minimum equals it. `None` on the first announcement.
         retire_prev: Option<u64>,
-        /// Count probe accounting (observed rounds).
-        count: bool,
     },
 }
 
@@ -172,7 +174,6 @@ fn worker_loop(rx: &Receiver<Cmd>, tx: &Sender<Reply>) {
             Cmd::Scan {
                 params,
                 retire_prev,
-                count,
             } => {
                 if let (Some(best), Some(mine)) = (retire_prev, st.last_min) {
                     if mine == best {
@@ -188,11 +189,7 @@ fn worker_loop(rx: &Receiver<Cmd>, tx: &Sender<Reply>) {
                 }
                 let job = ScanJob::new(&st.folded, &st.bases, &params);
                 let mut stats = ScanStats::default();
-                let min = if count {
-                    job.scan_range_counting(0, job.len(), &mut st.members, &mut stats)
-                } else {
-                    job.scan_range_batched(0, job.len(), &mut st.members)
-                };
+                let min = job.scan_range_batched(0, job.len(), &mut st.members, &mut stats);
                 st.last_min = min;
                 if tx.send(Reply { min, stats }).is_err() {
                     return;
@@ -230,8 +227,8 @@ pub struct PooledEngine {
     /// fallback).
     used_pool: bool,
     /// Set when a multi-thread pool fell back to scalar for the
-    /// current load: `(actives, threshold)` of the staged population.
-    pending_fallback: Option<(u64, u64)>,
+    /// current load.
+    pending_fallback: bool,
     /// Rounds a multi-thread pool ran on the scalar path.
     fallbacks: u64,
     /// A worker vanished mid-protocol (only possible through a panic
@@ -281,7 +278,7 @@ impl PooledEngine {
             staging: Arc::new(Vec::new()),
             threshold,
             used_pool: false,
-            pending_fallback: None,
+            pending_fallback: false,
             fallbacks: 0,
             broken: false,
             uniform_base: None,
@@ -386,37 +383,36 @@ impl PooledEngine {
     /// The pooled round: the scalar engine's loop with the scan
     /// dispatched to the shards. Retirement of an announcement's
     /// winners rides on the *next* dispatch, so steady state is one
-    /// message round trip per announcement.
-    fn run_pooled(
+    /// message round trip per announcement. `on_scan(announcement,
+    /// min, frame, stats)` sees every announcement's merged result.
+    fn run_pooled<F>(
         &mut self,
         f: FrameSize,
         nonces: &NonceSequence,
-        obs: Option<&Obs>,
-    ) -> Result<u64, CoreError> {
+        mut on_scan: F,
+    ) -> Result<u64, CoreError>
+    where
+        F: FnMut(u64, Option<u64>, FastMod, ScanStats),
+    {
         if self.broken {
             return Err(pool_disconnected());
         }
         let Some(reply_rx) = &self.reply_rx else {
             return Err(pool_disconnected());
         };
-        let count = obs.is_some_and(Obs::enabled);
-        let spans_on = obs.is_some_and(Obs::spans_enabled);
         self.bitstring.reset(f.as_usize());
         self.announcements = 0;
         let mut cursor = nonces.cursor();
         let mut walk = SubframeCursor::new(f);
-        let mut stats = ScanStats::default();
         let mut retire_prev: Option<u64> = None;
         loop {
             let params = walk.announce(&mut cursor, self.uniform_base)?;
             self.announcements = walk.announcements();
-            let probes_before = stats.probes;
             for tx in &self.cmd_txs {
                 if tx
                     .send(Cmd::Scan {
                         params,
                         retire_prev,
-                        count,
                     })
                     .is_err()
                 {
@@ -425,6 +421,7 @@ impl PooledEngine {
                 }
             }
             let mut best: Option<u64> = None;
+            let mut stats = ScanStats::default();
             for _ in 0..self.cmd_txs.len() {
                 let Ok(reply) = reply_rx.recv() else {
                     self.broken = true;
@@ -436,23 +433,7 @@ impl PooledEngine {
                     (b, m) => b.or(m),
                 };
             }
-            if spans_on {
-                if let Some(obs) = obs {
-                    // Identical phase attribution to the scalar
-                    // engine's observed path: slots telescope to the
-                    // frame size, probes are the merged (shard-order-
-                    // independent) per-announcement delta.
-                    let slots = best.map_or_else(|| params.frame.divisor(), |r| r + 1);
-                    let probes = stats.probes - probes_before;
-                    obs.span_phase(tagwatch_obs::Phase::SubFrameSetup, 0, 0);
-                    let phase = if self.announcements == 1 {
-                        tagwatch_obs::Phase::MinScan
-                    } else {
-                        tagwatch_obs::Phase::ReSeed
-                    };
-                    obs.span_phase(phase, slots, probes);
-                }
-            }
+            on_scan(self.announcements, best, params.frame, stats);
             let Some(rel) = best else {
                 // Silent announcement: the rest of the frame is
                 // silence and the round ends.
@@ -465,39 +446,16 @@ impl PooledEngine {
                 break;
             }
         }
-        if count {
-            if let Some(obs) = obs {
-                obs.add(obs.m.probes_total, stats.probes);
-                obs.add(obs.m.probes_filtered, stats.filtered);
-            }
-        }
         Ok(self.announcements)
     }
 
-    fn run_inner(
-        &mut self,
-        f: FrameSize,
-        nonces: &NonceSequence,
-        obs: Option<&Obs>,
-    ) -> Result<u64, CoreError> {
-        if self.used_pool {
-            return self.run_pooled(f, nonces, obs);
-        }
-        // Fallback rounds count on the engine but deliberately emit
-        // nothing to `obs`: an exact engine must be observably
-        // indistinguishable from the scalar engine at every thread
-        // count, or the committed golden digests would fork on the
-        // operator's `--threads` choice. Flight-ring fallback events
-        // live in the reference scanner's observed entry point
-        // (`crate::scan::run_round_parallel_observed`), outside every
-        // digested path.
-        if self.pending_fallback.is_some() {
+    /// The embedded scalar engine for a round that did not go to the
+    /// pool, counting the round when it is a multi-thread fallback.
+    fn scalar_round(&mut self) -> &mut RoundScratch {
+        if self.pending_fallback {
             self.fallbacks += 1;
         }
-        match obs {
-            Some(obs) => self.scalar.run_observed(f, nonces, obs),
-            None => RoundScratch::run(&mut self.scalar, f, nonces),
-        }
+        &mut self.scalar
     }
 }
 
@@ -514,7 +472,7 @@ impl RoundEngine for PooledEngine {
             // scratch loads exactly as it always has.
             RoundEngine::load(&mut self.scalar, parts);
             self.used_pool = false;
-            self.pending_fallback = None;
+            self.pending_fallback = false;
             return;
         }
         // Stage actives once (mute tags drop here, as in the scalar
@@ -549,16 +507,19 @@ impl RoundEngine for PooledEngine {
                     .map(|r| (r.id, Counter::new(r.base), false)),
             );
             self.used_pool = false;
-            self.pending_fallback = Some((self.staging.len() as u64, self.threshold as u64));
+            self.pending_fallback = true;
             return;
         }
         self.used_pool = true;
-        self.pending_fallback = None;
+        self.pending_fallback = false;
         self.dispatch_load();
     }
 
     fn run(&mut self, f: FrameSize, nonces: &NonceSequence) -> Result<u64, CoreError> {
-        self.run_inner(f, nonces, None)
+        if !self.used_pool {
+            return self.scalar_round().run(f, nonces);
+        }
+        self.run_pooled(f, nonces, |_, _, _, _| {})
     }
 
     fn run_observed(
@@ -567,7 +528,20 @@ impl RoundEngine for PooledEngine {
         nonces: &NonceSequence,
         obs: &Obs,
     ) -> Result<u64, CoreError> {
-        self.run_inner(f, nonces, Some(obs))
+        if !self.used_pool {
+            return self.scalar_round().run_observed(f, nonces, obs);
+        }
+        // The same phases and totals the scalar engine records: probes
+        // are the merged (shard-order-independent) per-announcement
+        // counts.
+        let mut total = ScanStats::default();
+        let announcements = self.run_pooled(f, nonces, |announcement, min, frame, stats| {
+            total.merge(stats);
+            record_scan_phases(obs, announcement, min, frame, stats.probes);
+        })?;
+        obs.add(obs.m.probes_total, total.probes);
+        obs.add(obs.m.probes_filtered, total.filtered);
+        Ok(announcements)
     }
 
     fn bitstring(&self) -> &Bitstring {
@@ -717,8 +691,9 @@ mod tests {
         // The fallback must NOT reach `obs`: golden digests hold at
         // every thread count precisely because the engine is
         // observably indistinguishable from the scalar path.
-        assert!(
-            !obs.flight_jsonl().contains("scalar_fallback"),
+        assert_eq!(
+            obs.flight_jsonl(),
+            "",
             "fallback leaked into the flight ring"
         );
 
@@ -731,7 +706,7 @@ mod tests {
             .run_observed(ch.frame_size(), ch.nonces(), &single_obs)
             .unwrap();
         assert_eq!(single.scalar_fallbacks(), 0);
-        assert!(!single_obs.flight_jsonl().contains("scalar_fallback"));
+        assert_eq!(single_obs.flight_jsonl(), "");
     }
 
     #[test]

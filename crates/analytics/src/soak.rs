@@ -100,6 +100,19 @@ impl Default for SoakConfig {
 }
 
 impl SoakConfig {
+    /// The policy a config-only soak runs under: the legacy defaults
+    /// carrying the config's protocol and desync window — exactly the
+    /// ladder the pre-policy driver hardcoded, so config-driven runs
+    /// keep their digests byte-for-byte.
+    #[must_use]
+    pub fn derive_policy(&self) -> Policy {
+        Policy {
+            protocol: self.protocol,
+            desync_window: self.desync_window,
+            ..Policy::default()
+        }
+    }
+
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.ticks == 0 {
             return Err(CoreError::InvalidParams {
@@ -178,7 +191,7 @@ pub struct SoakReport {
     /// byte-identical across runs of the same config.
     pub log: Vec<String>,
     /// The flight-recorder postmortem, when an instrumented run
-    /// ([`run_soak_observed`]) tripped a failure trigger (invariant
+    /// ([`run_soak_with`]) tripped a failure trigger (invariant
     /// violation, desync, or quarantine). Always `None` for
     /// uninstrumented runs.
     pub flight_dump: Option<FlightDump>,
@@ -402,22 +415,6 @@ pub(crate) struct SoakDriver<'a> {
 }
 
 impl<'a> SoakDriver<'a> {
-    pub(crate) fn new(config: &SoakConfig, obs: &'a Obs) -> Result<Self, CoreError> {
-        Self::with_policy(config, Self::derive_policy(config), obs)
-    }
-
-    /// The policy a config-only soak runs under: the legacy defaults
-    /// carrying the config's protocol and desync window — exactly the
-    /// ladder the pre-policy driver hardcoded, so config-driven runs
-    /// keep their digests byte-for-byte.
-    pub(crate) fn derive_policy(config: &SoakConfig) -> Policy {
-        Policy {
-            protocol: config.protocol,
-            desync_window: config.desync_window,
-            ..Policy::default()
-        }
-    }
-
     /// The policy the session is interpreting.
     pub(crate) fn policy(&self) -> &Policy {
         self.session.policy()
@@ -432,7 +429,8 @@ impl<'a> SoakDriver<'a> {
         self.session.set_threads(threads);
     }
 
-    /// [`new`](Self::new) under an explicit declarative [`Policy`].
+    /// A driver for `config` interpreting `policy` (see
+    /// [`SoakConfig::derive_policy`] for the config-only default).
     /// The stored config copy is normalized to the policy's protocol
     /// and desync window, so incident scheduling and the report's
     /// config JSON agree with what the session actually interprets.
@@ -558,7 +556,10 @@ impl<'a> SoakDriver<'a> {
     fn operator_pass(&mut self, t: u64) -> Result<(), CoreError> {
         let quarantined = self.session.quarantined();
         if !quarantined.is_empty() {
-            let released = self.session.release_quarantined(quarantined);
+            // The driver records the audit itself (`record_audit`).
+            let released = self
+                .session
+                .release_quarantined(quarantined, 1, &Obs::disabled());
             // The operator drains the quarantine on the tick after it
             // filled, so the audited condition stood for one tick.
             self.record_audit(
@@ -838,12 +839,8 @@ impl<'a> SoakDriver<'a> {
 
             // 4. One monitoring tick through the channel + fault plan.
             let executor = RoundExecutor::new(self.markov.channel(), plan);
-            self.session.tick_with(
-                &mut self.floor,
-                &executor,
-                &mut self.tick_rng,
-                Some(self.obs),
-            )?;
+            self.session
+                .tick_with(&mut self.floor, &executor, &mut self.tick_rng, self.obs)?;
 
             // 5. Digest the tick's events; enforce invariants.
             let (verdict, trace) = self.scan_events(t)?;
@@ -911,7 +908,8 @@ impl<'a> SoakDriver<'a> {
                 released: leftover.len() as u64,
                 latency_ticks: 1,
             });
-            self.session.release_quarantined(leftover);
+            self.session
+                .release_quarantined(leftover, 1, &Obs::disabled());
         }
         if !self.session.quarantined().is_empty() {
             let message = format!(
@@ -1092,7 +1090,7 @@ impl<'a> SoakDriver<'a> {
         let policy = match doc.section("policy") {
             Some(lines) => Policy::from_flat_lines(lines)
                 .map_err(|e| invalid(format!("checkpoint policy: {e}")))?,
-            None => Self::derive_policy(config),
+            None => config.derive_policy(),
         };
         let mut config = *config;
         config.protocol = policy.protocol;
@@ -1350,8 +1348,8 @@ fn opt_line(value: Option<u64>) -> String {
 /// Runs one deterministic soak and returns its report. See the module
 /// docs for the channel model, incident schedule, and invariants.
 ///
-/// Byte-identical to [`run_soak_observed`] with a disabled [`Obs`]:
-/// same log, same digest, same report.
+/// [`run_soak_with`] under the config-derived policy, a disabled
+/// [`Obs`], and the scalar engine: same log, same digest, same report.
 ///
 /// # Errors
 ///
@@ -1359,81 +1357,33 @@ fn opt_line(value: Option<u64>) -> String {
 /// propagates protocol errors (none are expected on a healthy run —
 /// every fault the driver scripts is one the session recovers from).
 pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, CoreError> {
-    run_soak_observed(config, &Obs::disabled())
+    run_soak_with(config, &config.derive_policy(), &Obs::disabled(), 1)
 }
 
-/// [`run_soak`] with telemetry: rounds, verdicts, resyncs, audits, and
-/// per-tick outcomes stream into `obs`'s metrics and flight ring, and
-/// any invariant violation (as well as any desync or quarantine inside
-/// the session) latches a flight-recorder dump — returned on the
-/// report as [`SoakReport::flight_dump`] — for postmortem inspection.
+/// Runs one soak under an explicit declarative [`Policy`], recording
+/// telemetry into `obs`, with the session's round engine scanning on
+/// `threads` workers.
 ///
-/// # Errors
-///
-/// See [`run_soak`].
-pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> Result<SoakReport, CoreError> {
-    run_soak_observed_threads(config, obs, 1)
-}
-
-/// [`run_soak_observed`] with the session's round engine scanning on
-/// `threads` workers (1 = the scalar engine, byte-identical to
-/// [`run_soak`]). Thread count is an execution knob, not part of
-/// [`SoakConfig`]: the report — log, digest, counts — is byte-identical
-/// at any value, which `tests/determinism_digests.rs` pins against the
-/// committed goldens.
-///
-/// # Errors
-///
-/// See [`run_soak`].
-pub fn run_soak_observed_threads(
-    config: &SoakConfig,
-    obs: &Obs,
-    threads: usize,
-) -> Result<SoakReport, CoreError> {
-    config.validate()?;
-    let mut driver = SoakDriver::new(config, obs)?;
-    driver.set_threads(threads);
-    driver.run()
-}
-
-/// [`run_soak`] under an explicit declarative [`Policy`] instead of the
-/// config-derived legacy defaults. The policy's protocol and desync
-/// window override the config's (the config still supplies the fleet
-/// shape and incident schedule), so the report's config JSON reflects
-/// what actually ran. Running under
-/// `SoakDriver`'s derived default policy is byte-identical to
-/// [`run_soak`].
+/// The policy's protocol and desync window override the config's (the
+/// config still supplies the fleet shape and incident schedule), so
+/// the report's config JSON reflects what actually ran; running under
+/// [`SoakConfig::derive_policy`] is byte-identical to [`run_soak`].
+/// Rounds, verdicts, resyncs, audits, and per-tick outcomes stream into
+/// `obs`'s metrics and flight ring, and any invariant violation (as
+/// well as any desync or quarantine inside the session) latches a
+/// flight-recorder dump — returned on the report as
+/// [`SoakReport::flight_dump`] — for postmortem inspection. Thread
+/// count is an execution knob, not part of [`SoakConfig`]: the report
+/// — log, digest, counts — is byte-identical at any value (1 = the
+/// scalar engine), which `tests/determinism_digests.rs` pins against
+/// the committed goldens.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParams`] for inconsistent configs or a
 /// policy that fails [`Policy::validate`], and propagates protocol
 /// errors as [`run_soak`] does.
-pub fn run_soak_policy(config: &SoakConfig, policy: &Policy) -> Result<SoakReport, CoreError> {
-    run_soak_policy_observed(config, policy, &Obs::disabled())
-}
-
-/// [`run_soak_policy`] with telemetry, mirroring [`run_soak_observed`].
-///
-/// # Errors
-///
-/// See [`run_soak_policy`].
-pub fn run_soak_policy_observed(
-    config: &SoakConfig,
-    policy: &Policy,
-    obs: &Obs,
-) -> Result<SoakReport, CoreError> {
-    run_soak_policy_observed_threads(config, policy, obs, 1)
-}
-
-/// [`run_soak_policy_observed`] on a `threads`-worker round engine,
-/// mirroring [`run_soak_observed_threads`]: same report bytes at any
-/// thread count.
-///
-/// # Errors
-///
-/// See [`run_soak_policy`].
-pub fn run_soak_policy_observed_threads(
+pub fn run_soak_with(
     config: &SoakConfig,
     policy: &Policy,
     obs: &Obs,
@@ -1531,7 +1481,7 @@ mod tests {
         let config = short(TickProtocol::Utrp);
         let plain = run_soak(&config).unwrap();
         let obs = Obs::new();
-        let observed = run_soak_observed(&config, &obs).unwrap();
+        let observed = run_soak_with(&config, &config.derive_policy(), &obs, 1).unwrap();
         assert_eq!(plain.log, observed.log);
         assert_eq!(plain.digest(), observed.digest());
         assert_eq!(plain.counts, observed.counts);
@@ -1572,8 +1522,8 @@ mod tests {
         };
         let obs_a = Obs::new();
         let obs_b = Obs::new();
-        let a = run_soak_observed(&config, &obs_a).unwrap();
-        let b = run_soak_observed(&config, &obs_b).unwrap();
+        let a = run_soak_with(&config, &config.derive_policy(), &obs_a, 1).unwrap();
+        let b = run_soak_with(&config, &config.derive_policy(), &obs_b, 1).unwrap();
         assert!(!a.is_clean(), "deadline of 1 must violate I1");
         assert!(a.violations.iter().any(|v| v.starts_with("I1")));
         assert!(obs_a.counter(obs_a.m.soak_violations) >= 1);
@@ -1605,8 +1555,8 @@ mod tests {
     fn derived_default_policy_is_byte_identical_to_config_run() {
         let config = short(TickProtocol::Utrp);
         let legacy = run_soak(&config).unwrap();
-        let policy = SoakDriver::derive_policy(&config);
-        let declared = run_soak_policy(&config, &policy).unwrap();
+        let policy = config.derive_policy();
+        let declared = run_soak_with(&config, &policy, &Obs::disabled(), 1).unwrap();
         assert_eq!(legacy.log, declared.log);
         assert_eq!(legacy.digest(), declared.digest());
         assert_eq!(legacy.to_json(), declared.to_json());
@@ -1616,9 +1566,9 @@ mod tests {
     fn non_default_policy_changes_the_run() {
         let config = short(TickProtocol::Utrp);
         let legacy = run_soak(&config).unwrap();
-        let mut policy = SoakDriver::derive_policy(&config);
+        let mut policy = config.derive_policy();
         policy.alarms_to_escalate = 4;
-        let declared = run_soak_policy(&config, &policy).unwrap();
+        let declared = run_soak_with(&config, &policy, &Obs::disabled(), 1).unwrap();
         assert_ne!(
             legacy.digest(),
             declared.digest(),
@@ -1629,9 +1579,9 @@ mod tests {
     #[test]
     fn policy_protocol_overrides_config_protocol() {
         let config = short(TickProtocol::Utrp);
-        let mut policy = SoakDriver::derive_policy(&config);
+        let mut policy = config.derive_policy();
         policy.protocol = TickProtocol::Trp;
-        let report = run_soak_policy(&config, &policy).unwrap();
+        let report = run_soak_with(&config, &policy, &Obs::disabled(), 1).unwrap();
         assert_eq!(
             report.counts.desync_bursts, 0,
             "TRP has no counters, so no bursts can be scripted"
@@ -1642,9 +1592,9 @@ mod tests {
     #[test]
     fn degenerate_policy_is_rejected_by_the_soak_entry_point() {
         let config = short(TickProtocol::Utrp);
-        let mut policy = SoakDriver::derive_policy(&config);
+        let mut policy = config.derive_policy();
         policy.alarms_to_escalate = 0;
-        let err = run_soak_policy(&config, &policy).unwrap_err();
+        let err = run_soak_with(&config, &policy, &Obs::disabled(), 1).unwrap_err();
         assert!(
             format!("{err}").contains("policy rejected"),
             "unexpected error: {err}"
@@ -1654,11 +1604,11 @@ mod tests {
     #[test]
     fn audit_budget_breach_marks_the_log_and_emits_policy_alert() {
         let config = short(TickProtocol::Utrp);
-        let mut policy = SoakDriver::derive_policy(&config);
+        let mut policy = config.derive_policy();
         policy.audit_budget = Some(0);
         policy.desyncs_to_quarantine = None; // budget 0 + quarantine is degenerate
         let obs = Obs::new();
-        let report = run_soak_policy_observed(&config, &policy, &obs).unwrap();
+        let report = run_soak_with(&config, &policy, &obs, 1).unwrap();
         assert!(
             report.counts.audits > 0,
             "the scripted incidents must force audits"

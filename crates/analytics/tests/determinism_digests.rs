@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use tagwatch_analytics::soak::{run_soak_observed, run_soak_observed_threads, SoakConfig};
+use tagwatch_analytics::soak::{run_soak_with, SoakConfig};
 use tagwatch_analytics::{worker_threads, TickProtocol};
 use tagwatch_obs::Obs;
 
@@ -45,7 +45,7 @@ fn instrumented_soak_matches_committed_golden_digest() {
         ..SoakConfig::default()
     };
     let obs = Obs::new();
-    let report = run_soak_observed(&config, &obs).expect("soak runs");
+    let report = run_soak_with(&config, &config.derive_policy(), &obs, 1).expect("soak runs");
     assert!(report.config.ticks == 200);
 
     let metrics = obs.snapshot_json();
@@ -72,7 +72,7 @@ fn golden_digest_holds_at_every_thread_count() {
     };
     for threads in [1usize, 2, 3, worker_threads()] {
         let obs = Obs::new();
-        run_soak_observed_threads(&config, &obs, threads).expect("soak runs");
+        run_soak_with(&config, &config.derive_policy(), &obs, threads).expect("soak runs");
         assert_eq!(
             last_fnv64(&obs.snapshot_json()),
             golden_digest(),
@@ -86,8 +86,7 @@ fn golden_digest_holds_at_every_thread_count() {
 /// reports and flight traces at every thread count, with exact probe
 /// totals. (The full metrics snapshot is excluded: `probes_filtered`
 /// counts the per-shard candidate-filter warm-up, which is
-/// strategy-dependent by the same documented contract that makes it
-/// chunking-dependent in the chunked reference scanner.)
+/// strategy-dependent by the pool's documented contract.)
 #[test]
 fn pool_engaged_soak_is_byte_identical_across_thread_counts() {
     let config = SoakConfig {
@@ -100,7 +99,8 @@ fn pool_engaged_soak_is_byte_identical_across_thread_counts() {
     let mut baseline: Option<(String, u64, String, u64)> = None;
     for threads in [1usize, 2, 3] {
         let obs = Obs::new();
-        let report = run_soak_observed_threads(&config, &obs, threads).expect("soak runs");
+        let report =
+            run_soak_with(&config, &config.derive_policy(), &obs, threads).expect("soak runs");
         let artifacts = (
             report.to_json(),
             report.digest(),
@@ -124,8 +124,8 @@ fn soak_report_is_byte_identical_across_runs() {
         ticks: 50,
         ..SoakConfig::default()
     };
-    let a = run_soak_observed(&config, &Obs::new()).expect("soak runs");
-    let b = run_soak_observed(&config, &Obs::new()).expect("soak runs");
+    let a = run_soak_with(&config, &config.derive_policy(), &Obs::new(), 1).expect("soak runs");
+    let b = run_soak_with(&config, &config.derive_policy(), &Obs::new(), 1).expect("soak runs");
     assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.digest(), b.digest());
 }

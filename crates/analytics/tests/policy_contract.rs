@@ -19,7 +19,7 @@
 use std::path::Path;
 
 use proptest::prelude::*;
-use tagwatch_analytics::soak::{run_soak_policy_observed, SoakConfig};
+use tagwatch_analytics::soak::{run_soak_with, SoakConfig};
 use tagwatch_analytics::{EscalateAction, Policy, TickProtocol};
 use tagwatch_core::IdentifyConfig;
 use tagwatch_obs::Obs;
@@ -114,7 +114,7 @@ fn default_policy_document_reproduces_the_committed_goldens() {
     let policy = Policy::parse(&document).expect("default document parses");
 
     let obs = Obs::new();
-    let report = run_soak_policy_observed(&config, &policy, &obs).expect("soak runs");
+    let report = run_soak_with(&config, &policy, &obs, 1).expect("soak runs");
 
     assert_eq!(
         last_fnv64(&obs.snapshot_json()),
@@ -144,7 +144,7 @@ fn non_default_document_diverges_from_the_goldens() {
     }
     .to_text();
     let policy = Policy::parse(&document).expect("strict document parses");
-    let report = run_soak_policy_observed(&config, &policy, &Obs::new()).expect("soak runs");
+    let report = run_soak_with(&config, &policy, &Obs::new(), 1).expect("soak runs");
     assert_ne!(
         format!("fnv1a:{:016x}", report.digest()),
         golden("soak_golden_digest.txt"),

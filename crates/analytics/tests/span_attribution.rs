@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tagwatch_analytics::soak::{run_soak_observed_threads, SoakConfig};
+use tagwatch_analytics::soak::{run_soak_with, SoakConfig};
 use tagwatch_analytics::{MonitoringSession, Policy, TickProtocol};
 use tagwatch_core::executor::RoundExecutor;
 use tagwatch_core::server::MonitorServer;
@@ -39,7 +39,7 @@ fn utrp_rollup_attributes_every_slot_and_probe() {
     let obs = Obs::new();
     for _ in 0..12 {
         session
-            .tick_with(&mut floor, &ideal, &mut rng, Some(&obs))
+            .tick_with(&mut floor, &ideal, &mut rng, &obs)
             .expect("tick runs");
     }
     let rollup = obs.span_rollup();
@@ -79,7 +79,7 @@ fn trp_rollup_attributes_every_slot() {
     let obs = Obs::new();
     for _ in 0..8 {
         session
-            .tick_with(&mut floor, &ideal, &mut rng, Some(&obs))
+            .tick_with(&mut floor, &ideal, &mut rng, &obs)
             .expect("tick runs");
     }
     let rollup = obs.span_rollup();
@@ -110,7 +110,7 @@ fn span_jsonl_is_byte_identical_across_runs_and_threads() {
     let mut baseline: Option<String> = None;
     for threads in [1usize, 1, 3] {
         let obs = Obs::new();
-        run_soak_observed_threads(&config, &obs, threads).expect("soak runs");
+        run_soak_with(&config, &config.derive_policy(), &obs, threads).expect("soak runs");
         let jsonl = obs.spans_jsonl();
         assert!(
             jsonl.lines().count() > config.ticks as usize,
@@ -139,7 +139,7 @@ fn prometheus_text_is_byte_identical_across_runs_and_threads() {
     let mut baseline: Option<String> = None;
     for threads in [1usize, 1, 2, 3] {
         let obs = Obs::new();
-        run_soak_observed_threads(&config, &obs, threads).expect("soak runs");
+        run_soak_with(&config, &config.derive_policy(), &obs, threads).expect("soak runs");
         let body = to_prometheus_text(&obs);
         assert!(body.contains("# TYPE tagwatch_rounds_total counter"));
         match &baseline {
@@ -163,7 +163,7 @@ fn soak_span_tree_has_session_and_tick_structure() {
         ..SoakConfig::default()
     };
     let obs = Obs::new();
-    run_soak_observed_threads(&config, &obs, 1).expect("soak runs");
+    run_soak_with(&config, &config.derive_policy(), &obs, 1).expect("soak runs");
     let rollup = obs.span_rollup();
     assert_eq!(rollup.ticks, 5);
     let jsonl = obs.spans_jsonl();

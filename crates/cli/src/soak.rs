@@ -3,9 +3,7 @@
 
 use std::path::PathBuf;
 
-use tagwatch_analytics::soak::{
-    run_soak_observed_threads, run_soak_policy_observed_threads, SoakConfig,
-};
+use tagwatch_analytics::soak::{run_soak_with, SoakConfig};
 use tagwatch_analytics::{run_soak_durable_observed, DurableConfig, Policy, TickProtocol};
 use tagwatch_obs::{to_prometheus_text, Obs};
 use tagwatch_sim::StorageFaultPlan;
@@ -210,10 +208,9 @@ pub fn run_soak_command(cmd: SoakCmd) -> Result<String, CliError> {
                 ));
             }
         }
-    } else if let Some(policy) = &policy {
-        run_soak_policy_observed_threads(&config, policy, &obs, threads).map_err(to_cli)?
     } else {
-        run_soak_observed_threads(&config, &obs, threads).map_err(to_cli)?
+        let policy = policy.clone().unwrap_or_else(|| config.derive_policy());
+        run_soak_with(&config, &policy, &obs, threads).map_err(to_cli)?
     };
 
     let path: PathBuf = match report_path {

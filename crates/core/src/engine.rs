@@ -34,16 +34,19 @@
 //! ## Scanner injection
 //!
 //! The per-announcement minimum scan is expressed as a [`ScanJob`] so
-//! the reduction strategy is pluggable without `tagwatch-core` growing
-//! a thread-pool dependency: [`batched_min_scan`] — the two-pass
-//! blocked kernel of [`ScanJob::scan_range_batched`] — is the default,
-//! [`sequential_min_scan`] is the element-at-a-time reference, and
-//! `tagwatch-analytics` provides chunked parallel scanners plus a
-//! persistent-pool `PooledEngine` over the same job (deterministic
-//! merge: global minimum slot first, then chunks in index order —
-//! member lists come out identical to the sequential scan's, so
-//! results are scanner-independent by construction; the differential
-//! tests pin it).
+//! the reduction runs over any slice of the active arrays without
+//! `tagwatch-core` growing a thread-pool dependency. Production runs
+//! one kernel — [`ScanJob::scan_range_batched`], the two-pass blocked
+//! scan behind [`batched_min_scan`] — in observed and unobserved
+//! rounds alike, and in every shard of the pooled engine in
+//! `tagwatch-analytics`; it always accumulates probe accounting into a
+//! [`ScanStats`], which unobserved callers simply drop.
+//! [`ScanJob::scan_range`] and [`sequential_min_scan`] are the
+//! element-at-a-time reference the debug cross-check and the tests
+//! compare it against. A sharded scan merges deterministically —
+//! global minimum slot first, then shards in index order — so member
+//! lists come out identical to the sequential scan's and results are
+//! scanner-independent by construction; the differential tests pin it.
 //!
 //! ## Engine injection
 //!
@@ -154,46 +157,100 @@ impl ScanJob<'_> {
     /// Scans `lo..hi` of the active arrays, returning the minimal slot
     /// in that range and pushing the (global) active indices of its
     /// members onto `members` in ascending order. `members` is cleared
-    /// first.
+    /// first; probe accounting accumulates into `stats`.
     ///
-    /// Both the sequential scanner and each chunk of a parallel scanner
-    /// bottom out here, so every strategy computes the same per-tag
-    /// slots: `mix64(folded ⊕ r ⊕ mix64(base + advance)) mod f`, with
-    /// the counter term pre-collapsed into the key when all bases are
+    /// This is the element-at-a-time reference: the debug build
+    /// cross-checks every [`ScanJob::scan_range_batched`] call against
+    /// it, and the tests compare the production kernel to it. Every
+    /// strategy computes the same per-tag slots:
+    /// `mix64(folded ⊕ r ⊕ mix64(base + advance)) mod f`, with the
+    /// counter term pre-collapsed into the key when all bases are
     /// equal.
     ///
     /// # Panics
     ///
     /// Panics if `lo..hi` is out of bounds for the active arrays.
-    pub fn scan_range(&self, lo: usize, hi: usize, members: &mut Vec<u32>) -> Option<u64> {
-        let mut stats = ScanStats::default();
-        self.scan_range_impl::<false>(lo, hi, members, &mut stats)
-    }
-
-    /// [`ScanJob::scan_range`] that additionally accumulates probe
-    /// accounting into `stats` — how many per-tag probes ran and how
-    /// many the candidate pre-filter skipped. The selection logic is
-    /// the *same monomorphized loop* as the plain scan (counting is a
-    /// const-generic branch compiled out of the fast path), so results
-    /// are bit-identical; only this variant pays for the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo..hi` is out of bounds for the active arrays.
-    pub fn scan_range_counting(
+    pub fn scan_range(
         &self,
         lo: usize,
         hi: usize,
         members: &mut Vec<u32>,
         stats: &mut ScanStats,
     ) -> Option<u64> {
-        self.scan_range_impl::<true>(lo, hi, members, stats)
+        members.clear();
+        let folded = &self.folded[lo..hi];
+        let frame = self.frame;
+        let mut best = u64::MAX;
+        // Candidate pre-filter: once a best slot exists, a probe whose
+        // Lemire fraction exceeds `threshold` is guaranteed to land
+        // strictly above it (see `FastMod::candidate_threshold`), so the
+        // exact remainder and the best/members bookkeeping are skipped.
+        // The filter is conservative — sub-threshold probes are
+        // verified with the exact remainder — so the scan is
+        // bit-identical to the unfiltered one.
+        let mut threshold = u128::MAX;
+        stats.probes += (hi - lo) as u64;
+        for (j, &fv) in folded.iter().enumerate() {
+            let frac = frame.frac(mix64(fv ^ self.key(lo + j)));
+            if frac > threshold {
+                stats.filtered += 1;
+                continue;
+            }
+            let s = frame.rem_of_frac(frac);
+            if s < best {
+                best = s;
+                threshold = frame.candidate_threshold(s);
+                members.clear();
+                members.push((lo + j) as u32);
+            } else if s == best {
+                members.push((lo + j) as u32);
+            }
+        }
+        // The pre-filter may only skip probes that land strictly above
+        // the running best: an unfiltered re-scan must agree on both
+        // the minimum slot and the full replier set.
+        #[cfg(debug_assertions)]
+        {
+            let slot_of = |j: usize| frame.rem(mix64(self.folded[j] ^ self.key(j)));
+            let brute = (lo..hi).map(slot_of).min();
+            debug_assert_eq!(
+                brute,
+                if members.is_empty() { None } else { Some(best) },
+                "candidate pre-filter must preserve the exact minimum"
+            );
+            if let Some(min) = brute {
+                let full: Vec<u32> = (lo..hi)
+                    .filter(|&j| slot_of(j) == min)
+                    .map(|j| j as u32)
+                    .collect();
+                debug_assert_eq!(
+                    &full, members,
+                    "candidate pre-filter must preserve the replier set"
+                );
+            }
+        }
+        if members.is_empty() {
+            None
+        } else {
+            Some(best)
+        }
+    }
+
+    /// The per-tag announcement key of active index `i`: the collapsed
+    /// uniform key, or `r ⊕ mix64(base + advance)`.
+    fn key(&self, i: usize) -> u64 {
+        match self.uniform_key {
+            Some(key) => key,
+            None => self.nonce ^ mix64(self.bases[i].wrapping_add(self.advance)),
+        }
     }
 
     /// [`ScanJob::scan_range`] restructured as a batched two-pass
-    /// kernel over fixed blocks of [`SCAN_BATCH`] tags, bit-identical
-    /// by construction (the debug build cross-checks every call
-    /// against [`ScanJob::scan_range`]).
+    /// kernel over fixed blocks of [`SCAN_BATCH`] tags — the production
+    /// scan of every engine, observed or not. Bit-identical by
+    /// construction, probe accounting included: the debug build
+    /// cross-checks every call's slot, members, and `stats` delta
+    /// against [`ScanJob::scan_range`].
     ///
     /// Pass 1 is a straight-line loop with no data-dependent branches
     /// — `mix64` → Lemire fraction into a stack buffer — which the
@@ -209,20 +266,31 @@ impl ScanJob<'_> {
     /// the threshold the sequential scan would hold at any element of
     /// the block. If every fraction in the block exceeds the entry
     /// threshold, the sequential scan would have filtered every one of
-    /// those probes too — and since filtered probes never update
-    /// `best`, `members`, or the threshold, dropping the block leaves
-    /// the scan state untouched, exactly as the sequential kernel
-    /// would. Blocks with at least one candidate take pass 2, which
-    /// performs the identical updates in the identical order.
+    /// those probes too — so a skipped block adds its length to
+    /// `filtered` — and since filtered probes never update `best`,
+    /// `members`, or the threshold, dropping the block leaves the scan
+    /// state untouched, exactly as the sequential kernel would. Blocks
+    /// with at least one candidate take pass 2, which performs the
+    /// identical updates (and filter counts) in the identical order.
+    /// The accounting is one add per skipped block and one per
+    /// filtered probe of a candidate block — rare once the threshold
+    /// has settled — so the kernel always counts.
     ///
     /// # Panics
     ///
     /// Panics if `lo..hi` is out of bounds for the active arrays.
-    pub fn scan_range_batched(&self, lo: usize, hi: usize, members: &mut Vec<u32>) -> Option<u64> {
+    pub fn scan_range_batched(
+        &self,
+        lo: usize,
+        hi: usize,
+        members: &mut Vec<u32>,
+        stats: &mut ScanStats,
+    ) -> Option<u64> {
         members.clear();
         let frame = self.frame;
         let mut best = u64::MAX;
         let mut threshold = u128::MAX;
+        let mut filtered = 0u64;
         let mut fracs = [0u128; SCAN_BATCH];
         let mut base_j = lo;
         while base_j < hi {
@@ -256,6 +324,7 @@ impl ScanJob<'_> {
                 // element order, over the buffered fractions.
                 for (k, &fr) in fracs[..n].iter().enumerate() {
                     if fr > threshold {
+                        filtered += 1;
                         continue;
                     }
                     let s = frame.rem_of_frac(fr);
@@ -268,14 +337,21 @@ impl ScanJob<'_> {
                         members.push((base_j + k) as u32);
                     }
                 }
+            } else {
+                filtered += n as u64;
             }
             base_j = block_hi;
         }
         let result = if members.is_empty() { None } else { Some(best) };
+        let delta = ScanStats {
+            probes: (hi - lo) as u64,
+            filtered,
+        };
         #[cfg(debug_assertions)]
         {
             let mut check_members = Vec::new();
-            let check = self.scan_range(lo, hi, &mut check_members);
+            let mut check_stats = ScanStats::default();
+            let check = self.scan_range(lo, hi, &mut check_members, &mut check_stats);
             debug_assert_eq!(
                 check, result,
                 "batched kernel must match the sequential scan"
@@ -284,121 +360,18 @@ impl ScanJob<'_> {
                 &check_members, members,
                 "batched kernel must preserve the replier set"
             );
-        }
-        result
-    }
-
-    fn scan_range_impl<const COUNT: bool>(
-        &self,
-        lo: usize,
-        hi: usize,
-        members: &mut Vec<u32>,
-        stats: &mut ScanStats,
-    ) -> Option<u64> {
-        members.clear();
-        let folded = &self.folded[lo..hi];
-        let frame = self.frame;
-        let mut best = u64::MAX;
-        // Candidate pre-filter: once a best slot exists, a probe whose
-        // Lemire fraction exceeds `threshold` is guaranteed to land
-        // strictly above it (see `FastMod::candidate_threshold`), so the
-        // exact remainder and the best/members bookkeeping are skipped.
-        // In a dense frame `best` hits 0 within a handful of probes and
-        // the steady-state iteration is just hash → fraction → compare,
-        // with a branch that predicts "skip" almost every time. The
-        // filter is conservative — sub-threshold probes are verified
-        // with the exact remainder — so the scan is bit-identical to
-        // the unfiltered one.
-        let mut threshold = u128::MAX;
-        if COUNT {
-            stats.probes += (hi - lo) as u64;
-        }
-        match self.uniform_key {
-            Some(key) => {
-                for (j, &fv) in folded.iter().enumerate() {
-                    let frac = frame.frac(mix64(fv ^ key));
-                    if frac > threshold {
-                        if COUNT {
-                            stats.filtered += 1;
-                        }
-                        continue;
-                    }
-                    let s = frame.rem_of_frac(frac);
-                    if s < best {
-                        best = s;
-                        threshold = frame.candidate_threshold(s);
-                        members.clear();
-                        members.push((lo + j) as u32);
-                    } else if s == best {
-                        members.push((lo + j) as u32);
-                    }
-                }
-            }
-            None => {
-                let bases = &self.bases[lo..hi];
-                for (j, (&fv, &bv)) in folded.iter().zip(bases).enumerate() {
-                    let ct = mix64(bv.wrapping_add(self.advance));
-                    let frac = frame.frac(mix64(fv ^ self.nonce ^ ct));
-                    if frac > threshold {
-                        if COUNT {
-                            stats.filtered += 1;
-                        }
-                        continue;
-                    }
-                    let s = frame.rem_of_frac(frac);
-                    if s < best {
-                        best = s;
-                        threshold = frame.candidate_threshold(s);
-                        members.clear();
-                        members.push((lo + j) as u32);
-                    } else if s == best {
-                        members.push((lo + j) as u32);
-                    }
-                }
-            }
-        }
-        // The pre-filter may only skip probes that land strictly above
-        // the running best: an unfiltered re-scan must agree on both
-        // the minimum slot and the full replier set.
-        #[cfg(debug_assertions)]
-        {
-            let slot_of = |j: usize| -> u64 {
-                let fv = self.folded[lo + j];
-                match self.uniform_key {
-                    Some(key) => frame.rem(mix64(fv ^ key)),
-                    None => {
-                        let ct = mix64(self.bases[lo + j].wrapping_add(self.advance));
-                        frame.rem(mix64(fv ^ self.nonce ^ ct))
-                    }
-                }
-            };
-            let brute = (0..hi - lo).map(slot_of).min();
             debug_assert_eq!(
-                brute,
-                if members.is_empty() { None } else { Some(best) },
-                "candidate pre-filter must preserve the exact minimum"
+                check_stats, delta,
+                "batched kernel must count probes as the sequential scan does"
             );
-            if let Some(min) = brute {
-                let full: Vec<u32> = (0..hi - lo)
-                    .filter(|&j| slot_of(j) == min)
-                    .map(|j| (lo + j) as u32)
-                    .collect();
-                debug_assert_eq!(
-                    &full, members,
-                    "candidate pre-filter must preserve the replier set"
-                );
-            }
         }
-        if members.is_empty() {
-            None
-        } else {
-            Some(best)
-        }
+        stats.merge(delta);
+        result
     }
 }
 
-/// Probe accounting from a counting scan: the raw material for the
-/// telemetry layer's probe / candidate-filter hit-rate metrics.
+/// Probe accounting from a scan: the raw material for the telemetry
+/// layer's probe / candidate-filter hit-rate metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Per-tag slot probes evaluated.
@@ -410,7 +383,7 @@ pub struct ScanStats {
 
 impl ScanStats {
     /// Adds `other`'s counts into `self` (the reduction step when
-    /// chunked scans count independently).
+    /// shards count independently).
     pub fn merge(&mut self, other: ScanStats) {
         self.probes += other.probes;
         self.filtered += other.filtered;
@@ -426,14 +399,43 @@ pub const SCAN_BATCH: usize = 64;
 
 /// The reference scanner: one linear pass over the whole active set.
 pub fn sequential_min_scan(job: &ScanJob<'_>, members: &mut Vec<u32>) -> Option<u64> {
-    job.scan_range(0, job.len(), members)
+    job.scan_range(0, job.len(), members, &mut ScanStats::default())
 }
 
 /// The default scanner: the batched two-pass kernel over the whole
 /// active set ([`ScanJob::scan_range_batched`]), bit-identical to
 /// [`sequential_min_scan`] by construction.
 pub fn batched_min_scan(job: &ScanJob<'_>, members: &mut Vec<u32>) -> Option<u64> {
-    job.scan_range_batched(0, job.len(), members)
+    job.scan_range_batched(0, job.len(), members, &mut ScanStats::default())
+}
+
+/// Records one announcement's span phases by the cost clock: a
+/// sub-frame setup, then the opening min-scan (announcement 1) or a
+/// re-seed. `rel` is the announcement's winning relative slot in the
+/// sub-frame `frame` and `probes` the scan's probe count. Slots charged
+/// per announcement telescope exactly to the frame size: a reply at
+/// relative slot `rel` elapses `rel + 1` slots of its sub-frame;
+/// silence elapses the whole remaining sub-frame (the divisor) and
+/// ends the round. Every engine records through this one function, so
+/// span trees are engine- and thread-count-invariant.
+pub fn record_scan_phases(
+    obs: &tagwatch_obs::Obs,
+    announcement: u64,
+    rel: Option<u64>,
+    frame: FastMod,
+    probes: u64,
+) {
+    if !obs.spans_enabled() {
+        return;
+    }
+    let slots = rel.map_or_else(|| frame.divisor(), |r| r + 1);
+    obs.span_phase(tagwatch_obs::Phase::SubFrameSetup, 0, 0);
+    let phase = if announcement == 1 {
+        tagwatch_obs::Phase::MinScan
+    } else {
+        tagwatch_obs::Phase::ReSeed
+    };
+    obs.span_phase(phase, slots, probes);
 }
 
 /// Per-announcement sub-frame bookkeeping of one UTRP round: nonce
@@ -683,8 +685,8 @@ impl RoundScratch {
         self.run_with(f, nonces, batched_min_scan)
     }
 
-    /// [`RoundScratch::run`] with an injected scanner (e.g. the chunked
-    /// parallel min-reduction in `tagwatch-analytics`).
+    /// [`RoundScratch::run`] with an injected scanner (e.g. the
+    /// [`sequential_min_scan`] reference).
     ///
     /// # Errors
     ///
@@ -703,8 +705,9 @@ impl RoundScratch {
     }
 
     /// [`RoundScratch::run`] with telemetry: when `obs` is enabled the
-    /// round runs through the counting scanner and records probe and
-    /// candidate-filter totals; when disabled it is exactly
+    /// round runs the same batched kernel with its probe accounting
+    /// kept, recording probe and candidate-filter totals and the
+    /// per-announcement span phases; when disabled it is exactly
     /// [`RoundScratch::run`]. Either way the round result is
     /// bit-identical to the uninstrumented one.
     ///
@@ -721,28 +724,18 @@ impl RoundScratch {
             return self.run(f, nonces);
         }
         let mut stats = ScanStats::default();
-        let spans_on = obs.spans_enabled();
         let mut announcement = 0u64;
         let announcements = self.run_with(f, nonces, |job, members| {
             announcement += 1;
             let probes_before = stats.probes;
-            let rel = job.scan_range_counting(0, job.len(), members, &mut stats);
-            if spans_on {
-                // Phase attribution by the cost clock. Slots charged
-                // per announcement telescope exactly to the frame size:
-                // a reply at relative slot `rel` elapses `rel + 1`
-                // slots of its sub-frame; silence elapses the whole
-                // remaining sub-frame (the divisor) and ends the round.
-                let slots = rel.map_or_else(|| job.frame().divisor(), |r| r + 1);
-                let probes = stats.probes - probes_before;
-                obs.span_phase(tagwatch_obs::Phase::SubFrameSetup, 0, 0);
-                let phase = if announcement == 1 {
-                    tagwatch_obs::Phase::MinScan
-                } else {
-                    tagwatch_obs::Phase::ReSeed
-                };
-                obs.span_phase(phase, slots, probes);
-            }
+            let rel = job.scan_range_batched(0, job.len(), members, &mut stats);
+            record_scan_phases(
+                obs,
+                announcement,
+                rel,
+                job.frame(),
+                stats.probes - probes_before,
+            );
             rel
         })?;
         obs.add(obs.m.probes_total, stats.probes);
@@ -895,7 +888,7 @@ pub trait RoundEngine {
     /// [`RoundEngine::run`] with telemetry: when `obs` is enabled the
     /// implementation additionally records probe and candidate-filter
     /// totals. The round result must be bit-identical either way, and
-    /// the probe total must be chunking- and thread-invariant (it is
+    /// the probe total must be shard- and thread-invariant (it is
     /// `Σ active_i` for any exact engine).
     ///
     /// # Errors
@@ -1088,7 +1081,8 @@ mod tests {
                 let mut lo = 0;
                 while lo < job.len() {
                     let hi = (lo + chunk).min(job.len());
-                    if let Some(m) = job.scan_range(lo, hi, &mut chunk_members) {
+                    let mut stats = ScanStats::default();
+                    if let Some(m) = job.scan_range(lo, hi, &mut chunk_members, &mut stats) {
                         match best {
                             Some(b) if m > b => {}
                             Some(b) if m == b => members.extend_from_slice(&chunk_members),
@@ -1174,7 +1168,8 @@ mod tests {
         loop {
             let params = walk.announce(&mut cursor, None).unwrap();
             let job = ScanJob::new(&folded, &bases, &params);
-            let Some(rel) = job.scan_range_batched(0, job.len(), &mut members) else {
+            let mut stats = ScanStats::default();
+            let Some(rel) = job.scan_range_batched(0, job.len(), &mut members, &mut stats) else {
                 break;
             };
             let global = walk.record_reply(rel);

@@ -31,9 +31,7 @@ use crate::engine::{RoundEngine, RoundScratch};
 use crate::error::CoreError;
 use crate::faulty::run_honest_reader_with;
 use crate::trp::{observed_bitstring, TrpChallenge};
-use crate::utrp::{
-    run_honest_reader_scratch, run_honest_reader_scratch_observed, UtrpChallenge, UtrpResponse,
-};
+use crate::utrp::{run_honest_reader_scratch, UtrpChallenge, UtrpResponse};
 
 /// One configured way of executing protocol rounds: a radio channel and
 /// an optional scripted fault plan.
@@ -184,34 +182,14 @@ impl RoundExecutor {
         rng: &mut R,
     ) -> Result<UtrpResponse, CoreError> {
         let mut scratch = RoundScratch::new();
-        self.run_utrp_scratch(floor, challenge, timing, rng, &mut scratch)
-    }
-
-    /// [`RoundExecutor::run_utrp`] through a caller-owned
-    /// [`RoundEngine`] (a [`RoundScratch`] or the pooled sharded
-    /// engine), so long-running drivers (sessions, soak loops) reuse
-    /// the round buffers tick after tick instead of reallocating.
-    /// Identical semantics at any thread count; the engine only serves
-    /// the faultless fast path — scripted-fault rounds are cold and
-    /// keep their own state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoundExecutor::run_utrp`].
-    pub fn run_utrp_scratch<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        floor: &mut TagPopulation,
-        challenge: &UtrpChallenge,
-        timing: &TimingModel,
-        rng: &mut R,
-        scratch: &mut E,
-    ) -> Result<UtrpResponse, CoreError> {
-        if self.is_faultless() {
-            return run_honest_reader_scratch(floor, challenge, timing, scratch);
-        }
-        let empty = FaultPlan::new();
-        let plan = self.plan.as_ref().unwrap_or(&empty);
-        run_honest_reader_with(floor, challenge, timing, &self.channel, plan, rng)
+        self.run_utrp_scratch_observed(
+            floor,
+            challenge,
+            timing,
+            rng,
+            &mut scratch,
+            &Obs::disabled(),
+        )
     }
 
     /// [`RoundExecutor::run_trp`] with telemetry: records round,
@@ -256,17 +234,23 @@ impl RoundExecutor {
         Ok(bs)
     }
 
-    /// [`RoundExecutor::run_utrp_scratch`] with telemetry: records
-    /// round, slot-outcome, re-seed, frame-size and elapsed-time
-    /// metrics (plus probe/candidate-filter totals on the faultless
-    /// fast path, which runs through the counting scanner) and emits a
-    /// round-completed flight event. The round result is bit-identical
-    /// to the uninstrumented path, and with a disabled `obs` this is
-    /// exactly `run_utrp_scratch` plus one untaken branch.
+    /// [`RoundExecutor::run_utrp`] through a caller-owned
+    /// [`RoundEngine`] (a [`RoundScratch`] or the pooled sharded
+    /// engine), so long-running drivers (sessions, soak loops) reuse
+    /// the round buffers tick after tick instead of reallocating.
+    /// Identical semantics at any thread count; the engine only serves
+    /// the faultless fast path — scripted-fault rounds are cold and
+    /// keep their own state.
+    ///
+    /// When `obs` is enabled, records round, slot-outcome, re-seed,
+    /// frame-size and elapsed-time metrics (plus probe/candidate-filter
+    /// totals on the faultless fast path) and emits a round-completed
+    /// flight event. The round result is bit-identical either way, and
+    /// with a disabled `obs` the telemetry costs one untaken branch.
     ///
     /// # Errors
     ///
-    /// Same as [`RoundExecutor::run_utrp_scratch`].
+    /// Same as [`RoundExecutor::run_utrp`].
     pub fn run_utrp_scratch_observed<E: RoundEngine, R: Rng + ?Sized>(
         &self,
         floor: &mut TagPopulation,
@@ -276,10 +260,12 @@ impl RoundExecutor {
         scratch: &mut E,
         obs: &Obs,
     ) -> Result<UtrpResponse, CoreError> {
-        let response = if self.is_faultless() && obs.enabled() {
-            run_honest_reader_scratch_observed(floor, challenge, timing, scratch, obs)?
+        let response = if self.is_faultless() {
+            run_honest_reader_scratch(floor, challenge, timing, scratch, obs)?
         } else {
-            self.run_utrp_scratch(floor, challenge, timing, rng, scratch)?
+            let empty = FaultPlan::new();
+            let plan = self.plan.as_ref().unwrap_or(&empty);
+            run_honest_reader_with(floor, challenge, timing, &self.channel, plan, rng)?
         };
         if obs.enabled() {
             let frame = response.bitstring.len() as u64;

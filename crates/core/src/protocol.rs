@@ -53,32 +53,20 @@ pub trait Protocol {
     /// byte-identical rounds. TRP rounds carry no re-seed state and
     /// leave it untouched.
     ///
+    /// `obs` receives the round's telemetry: a round span around the
+    /// whole cycle, the executor's round metrics, and the verification
+    /// outcome (verdict counters, hamming-distance histogram, a
+    /// `verified` flight event, and an automatic flight dump on a
+    /// [`Verdict::Desynced`] outcome). The report does not depend on
+    /// it; pass [`Obs::disabled`] for none, at the cost of a handful of
+    /// untaken branches.
+    ///
     /// # Errors
     ///
     /// Propagates protocol errors other than the response-shape mapping
     /// described in the module docs (e.g. [`CoreError::CounterDesync`]
     /// when issuing a UTRP challenge over an untrusted mirror).
     fn run_round<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        server: &mut MonitorServer,
-        floor: &mut TagPopulation,
-        executor: &RoundExecutor,
-        scratch: &mut E,
-        rng: &mut R,
-    ) -> Result<MonitorReport, CoreError>;
-
-    /// [`Protocol::run_round`] with telemetry: the field round runs
-    /// through the executor's observed variant and the verification
-    /// outcome is recorded (verdict counters, hamming-distance
-    /// histogram, a `verified` flight event, and an automatic flight
-    /// dump on a [`Verdict::Desynced`] outcome). The report is
-    /// identical to the uninstrumented round's; with a disabled `obs`
-    /// the added cost is a handful of untaken branches.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Protocol::run_round`].
-    fn run_round_observed<E: RoundEngine, R: Rng + ?Sized>(
         &self,
         server: &mut MonitorServer,
         floor: &mut TagPopulation,
@@ -154,20 +142,6 @@ impl Protocol for Trp {
         executor: &RoundExecutor,
         _scratch: &mut E,
         rng: &mut R,
-    ) -> Result<MonitorReport, CoreError> {
-        let challenge = server.issue_trp_challenge(rng)?;
-        let f = challenge.frame_size().get();
-        let bs = executor.run_trp(floor, &challenge, rng)?;
-        alarm_on_shape_mismatch(server.verify_trp(challenge, &bs), ProtocolKind::Trp, f)
-    }
-
-    fn run_round_observed<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        server: &mut MonitorServer,
-        floor: &mut TagPopulation,
-        executor: &RoundExecutor,
-        _scratch: &mut E,
-        rng: &mut R,
         obs: &Obs,
     ) -> Result<MonitorReport, CoreError> {
         // The round span brackets challenge, field round and verify so
@@ -199,25 +173,6 @@ impl Protocol for Utrp {
     }
 
     fn run_round<E: RoundEngine, R: Rng + ?Sized>(
-        &self,
-        server: &mut MonitorServer,
-        floor: &mut TagPopulation,
-        executor: &RoundExecutor,
-        scratch: &mut E,
-        rng: &mut R,
-    ) -> Result<MonitorReport, CoreError> {
-        let timing = server.config().timing;
-        let challenge = server.issue_utrp_challenge(rng)?;
-        let f = challenge.frame_size().get();
-        let response = executor.run_utrp_scratch(floor, &challenge, &timing, rng, scratch)?;
-        alarm_on_shape_mismatch(
-            server.verify_utrp_with(challenge, &response, scratch),
-            ProtocolKind::Utrp,
-            f,
-        )
-    }
-
-    fn run_round_observed<E: RoundEngine, R: Rng + ?Sized>(
         &self,
         server: &mut MonitorServer,
         floor: &mut TagPopulation,
@@ -286,6 +241,7 @@ mod tests {
                 &RoundExecutor::ideal(),
                 &mut RoundScratch::new(),
                 &mut rng_b,
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(manual, generic);
@@ -304,6 +260,7 @@ mod tests {
                     &RoundExecutor::ideal(),
                     &mut RoundScratch::new(),
                     &mut rng,
+                    &Obs::disabled(),
                 )
                 .unwrap();
             assert!(report.verdict.is_intact());
@@ -336,6 +293,7 @@ mod tests {
                 &executor,
                 &mut RoundScratch::new(),
                 &mut rng,
+                &Obs::disabled(),
             )
             .unwrap();
         assert!(report.is_alarm());
@@ -350,6 +308,7 @@ mod tests {
                 &RoundExecutor::ideal(),
                 &mut RoundScratch::new(),
                 &mut rng,
+                &Obs::disabled(),
             )
             .unwrap();
         assert!(
@@ -364,6 +323,7 @@ mod tests {
                 &executor,
                 &mut RoundScratch::new(),
                 &mut rng,
+                &Obs::disabled(),
             )
             .unwrap();
         assert!(trp_report.is_alarm(), "TRP truncation must alarm too");
@@ -381,6 +341,7 @@ mod tests {
                 &RoundExecutor::ideal(),
                 &mut RoundScratch::new(),
                 &mut rng,
+                &Obs::disabled(),
             )
             .unwrap();
         assert!(report.is_alarm());

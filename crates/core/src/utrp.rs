@@ -33,7 +33,7 @@ use tagwatch_sim::hash::slot_for_counted;
 use tagwatch_sim::{Counter, FrameSize, Nonce, SimDuration, TagId, TagPopulation, TimingModel};
 
 use crate::bitstring::Bitstring;
-use crate::engine::{sequential_min_scan, RoundEngine, RoundScratch};
+use crate::engine::{batched_min_scan, RoundEngine, RoundScratch};
 use crate::error::CoreError;
 use crate::nonce::NonceSequence;
 use crate::timer::ResponseTimer;
@@ -424,50 +424,27 @@ pub fn run_honest_reader(
     timing: &TimingModel,
 ) -> Result<UtrpResponse, CoreError> {
     let mut scratch = RoundScratch::new();
-    run_honest_reader_scratch(population, challenge, timing, &mut scratch)
+    run_honest_reader_scratch(
+        population,
+        challenge,
+        timing,
+        &mut scratch,
+        &tagwatch_obs::Obs::disabled(),
+    )
 }
 
 /// [`run_honest_reader`] through a caller-owned [`RoundEngine`]: the
 /// population is loaded straight into the engine's arrays (no
 /// intermediate participant `Vec`), and the only per-round allocation
 /// left is the response bitstring itself — the owned artifact handed
-/// to the server.
+/// to the server. When `obs` is enabled, probe and candidate-filter
+/// totals land in the registry ([`RoundEngine::run_observed`]); the
+/// round result is bit-identical either way.
 ///
 /// # Errors
 ///
 /// Propagates round-simulation errors.
 pub fn run_honest_reader_scratch<E: RoundEngine>(
-    population: &mut TagPopulation,
-    challenge: &UtrpChallenge,
-    timing: &TimingModel,
-    scratch: &mut E,
-) -> Result<UtrpResponse, CoreError> {
-    scratch.load_population(population);
-    let announcements = scratch.run(challenge.frame_size(), challenge.nonces())?;
-    for tag in population.iter_mut() {
-        tag.advance_counter(announcements);
-    }
-    let bitstring = scratch.bitstring().clone();
-    let slots = bitstring.len() as u64;
-    let occupied = bitstring.count_ones() as u64;
-    let elapsed = round_duration_parts(timing, slots, occupied, announcements);
-    Ok(UtrpResponse {
-        bitstring,
-        elapsed,
-        announcements,
-    })
-}
-
-/// [`run_honest_reader_scratch`] with telemetry: when `obs` is enabled
-/// the round runs through the counting scanner, so probe and
-/// candidate-filter totals land in the registry. The round result is
-/// bit-identical to the uninstrumented path either way (the counting
-/// scanner shares the plain scan's monomorphized selection loop).
-///
-/// # Errors
-///
-/// Propagates round-simulation errors.
-pub fn run_honest_reader_scratch_observed<E: RoundEngine>(
     population: &mut TagPopulation,
     challenge: &UtrpChallenge,
     timing: &TimingModel,
@@ -641,14 +618,10 @@ pub fn attributed_round(
     let mut attribution: Vec<Vec<TagId>> = vec![Vec::new(); f.as_usize()];
     let mut scratch = RoundScratch::new();
     scratch.load_pairs(registry.iter().copied());
-    let announcements = scratch.run_attributed_with(
-        f,
-        challenge.nonces(),
-        sequential_min_scan,
-        |slot, members| {
+    let announcements =
+        scratch.run_attributed_with(f, challenge.nonces(), batched_min_scan, |slot, members| {
             attribution[slot as usize] = members.iter().map(|&i| registry[i as usize].0).collect();
-        },
-    )?;
+        })?;
     Ok((
         RoundOutcome {
             bitstring: scratch.take_bitstring(),

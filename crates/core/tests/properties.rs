@@ -206,3 +206,58 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn batched_kernel_counts_exactly_like_the_sequential_reference(
+        size_index in 0usize..6,
+        lo_raw in 0usize..=4097,
+        hi_raw in 0usize..=4097,
+        f_exp in 0.0f64..5.0,
+        per_tag_bases in any::<bool>(),
+        advance in 1u64..1_000,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        use tagwatch_core::{ScanJob, ScanParams, ScanStats};
+        use tagwatch_sim::hash::{mix64, FastMod};
+
+        // Sizes straddle the SCAN_BATCH = 64 block boundaries.
+        let size = [0usize, 1, 63, 64, 65, 4097][size_index];
+        // Frames log-uniform over 1..=10⁵: dense and sparse scans alike.
+        let f = 10f64.powf(f_exp).round().max(1.0) as u64;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let folded: Vec<u64> = (0..size).map(|_| rng.gen()).collect();
+        let uniform_base: u64 = rng.gen_range(0..1_000);
+        let bases: Vec<u64> = (0..size)
+            .map(|_| if per_tag_bases { rng.gen_range(0..1_000) } else { uniform_base })
+            .collect();
+        let nonce: u64 = rng.gen();
+        let params = ScanParams {
+            nonce,
+            advance,
+            uniform_key: (!per_tag_bases)
+                .then(|| nonce ^ mix64(uniform_base.wrapping_add(advance))),
+            frame: FastMod::from_divisor(f),
+        };
+        let job = ScanJob::new(&folded, &bases, &params);
+        // Ragged ranges: any lo..hi inside the active arrays, so block
+        // boundaries land mid-range and tail blocks are partial.
+        let (a, b) = (lo_raw % (size + 1), hi_raw % (size + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+
+        // Start both from the same non-zero totals: scans accumulate.
+        let mut seq_stats = ScanStats { probes: 7, filtered: 3 };
+        let mut bat_stats = seq_stats;
+        let mut seq_members = vec![u32::MAX; 3];
+        let mut bat_members = vec![u32::MAX; 5];
+        let seq = job.scan_range(lo, hi, &mut seq_members, &mut seq_stats);
+        let bat = job.scan_range_batched(lo, hi, &mut bat_members, &mut bat_stats);
+        prop_assert_eq!(bat, seq, "minimum slot");
+        prop_assert_eq!(&bat_members, &seq_members, "replier set");
+        prop_assert_eq!(bat_stats, seq_stats, "probe accounting");
+        prop_assert_eq!(seq_stats.probes, 7 + (hi - lo) as u64);
+    }
+}

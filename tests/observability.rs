@@ -1,21 +1,19 @@
 //! Integration tests for the observability subsystem's export
 //! discipline: same seed and plan must yield byte-identical JSONL
 //! event traces and metrics snapshots at every layer — the observed
-//! protocol rounds, the chunked parallel scanner, and the soak driver
+//! protocol rounds, the pooled round engine, and the soak driver
 //! (including its automatic flight dump on an invariant violation).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tagwatch::analytics::scan::run_round_chunked_observed;
-use tagwatch::analytics::soak::{run_soak_observed, SoakConfig};
+use tagwatch::analytics::soak::{run_soak_with, SoakConfig};
 use tagwatch::analytics::{worker_threads, PooledEngine, TickProtocol};
-use tagwatch::core::utrp::{UtrpChallenge, UtrpParticipant};
 use tagwatch::core::{
     MonitorServer, Protocol, RoundEngine, RoundExecutor, RoundScratch, Trp, Utrp,
 };
 use tagwatch::obs::Obs;
-use tagwatch::sim::{Channel, Counter, FrameSize, TagId, TagPopulation, TimingModel};
+use tagwatch::sim::{Channel, TagPopulation};
 
 /// Drives `rounds` observed rounds of `protocol` through `engine`
 /// against a fresh server/floor pair and returns the export artifacts.
@@ -34,7 +32,7 @@ fn run_observed_rounds_with<P: Protocol, E: RoundEngine>(
     let obs = Obs::new();
     for _ in 0..rounds {
         let report = protocol
-            .run_round_observed(&mut server, &mut floor, &executor, engine, &mut rng, &obs)
+            .run_round(&mut server, &mut floor, &executor, engine, &mut rng, &obs)
             .expect("round runs");
         assert!(report.verdict.is_intact(), "nothing is missing");
     }
@@ -93,10 +91,9 @@ fn counter_line(snapshot: &str, key: &str) -> String {
 /// including UTRP's mid-round retirements) byte for byte, and the
 /// probe total exactly. `probes_filtered` is the one deliberate
 /// exception: the candidate-filter warm-up is per-shard, so its count
-/// is strategy-dependent (the same contract
-/// `chunked_min_scan_counting` documents for chunking) — full
-/// snapshot byte-equality is therefore only owed at one thread,
-/// where the pooled engine *is* the scalar engine.
+/// is strategy-dependent — full snapshot byte-equality is therefore
+/// only owed at one thread, where the pooled engine *is* the scalar
+/// engine.
 #[test]
 fn pooled_exports_are_thread_invariant_for_trp_and_utrp() {
     let thread_counts = [1, 2, 3, worker_threads()];
@@ -135,52 +132,6 @@ fn different_seeds_produce_different_digests() {
     assert_ne!(digest_a, digest_b, "the digest must track the content");
 }
 
-/// The chunked parallel scanner: per-configuration exports are
-/// byte-stable, and the probe totals (unlike the per-chunk filter
-/// warm-up counts) are invariant in the chunk size.
-#[test]
-fn chunked_scanner_exports_are_deterministic_at_every_chunk_size() {
-    let frame = FrameSize::new(96).expect("positive frame");
-    let mut rng = StdRng::seed_from_u64(41);
-    let ch = UtrpChallenge::generate(frame, &TimingModel::gen2(), &mut rng);
-    let population: Vec<UtrpParticipant> = (1..=200u64)
-        .map(|i| UtrpParticipant::new(TagId::from(i), Counter::new(i % 3)))
-        .collect();
-
-    let run = |chunk_len: usize| {
-        let obs = Obs::new();
-        let mut scratch = RoundScratch::new();
-        scratch.load_participants(&population);
-        let announcements =
-            run_round_chunked_observed(&mut scratch, frame, ch.nonces(), chunk_len, &obs)
-                .expect("round runs");
-        (
-            announcements,
-            scratch.bitstring().clone(),
-            obs.counter(obs.m.probes_total),
-            obs.snapshot_json(),
-        )
-    };
-
-    let baseline = run(64);
-    assert!(baseline.2 > 0, "counting scan must record probes");
-    for chunk_len in [1usize, 16, 64, 512] {
-        let (ann_a, bs_a, probes_a, snap_a) = run(chunk_len);
-        let (ann_b, bs_b, probes_b, snap_b) = run(chunk_len);
-        assert_eq!(
-            snap_a, snap_b,
-            "chunk={chunk_len}: snapshot must be byte-stable"
-        );
-        assert_eq!((&ann_a, &bs_a, probes_a), (&ann_b, &bs_b, probes_b));
-        assert_eq!(
-            ann_a, baseline.0,
-            "chunk={chunk_len}: announcements invariant"
-        );
-        assert_eq!(bs_a, baseline.1, "chunk={chunk_len}: bitstring invariant");
-        assert_eq!(probes_a, baseline.2, "chunk={chunk_len}: probes invariant");
-    }
-}
-
 /// Acceptance: a soak invariant violation latches the flight recorder,
 /// and the dump is byte-identical across two same-seed runs.
 #[test]
@@ -202,7 +153,8 @@ fn soak_violation_flight_dump_is_byte_identical_across_runs() {
     };
     let run = || {
         let obs = Obs::new();
-        let report = run_soak_observed(&config, &obs).expect("soak runs to completion");
+        let report = run_soak_with(&config, &config.derive_policy(), &obs, 1)
+            .expect("soak runs to completion");
         (report, obs.snapshot_json())
     };
     let (report_a, snapshot_a) = run();
