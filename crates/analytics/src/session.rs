@@ -1092,7 +1092,7 @@ mod tests {
     #[test]
     fn ladder_capture_restore_is_a_warm_restart() {
         use rand::Rng as _;
-        use tagwatch_core::{ServerConfig, StateCapture, StateRestore};
+        use tagwatch_core::ServerConfig;
 
         let policy = Policy {
             protocol: TickProtocol::Utrp,
@@ -1107,11 +1107,9 @@ mod tests {
 
         // Capture at a tick boundary, rebuild, and continue both.
         let ladder = original.ladder_state();
-        let server = MonitorServer::restore_state(
-            original.server().capture_state(),
-            ServerConfig::default(),
-        )
-        .unwrap();
+        let server =
+            MonitorServer::from_snapshot(original.server().snapshot(), ServerConfig::default())
+                .unwrap();
         let mut restored = MonitoringSession::restore(server, policy, &ladder);
         assert_eq!(restored.ladder_state(), ladder);
         assert!(restored.log().is_empty(), "restored log starts empty");

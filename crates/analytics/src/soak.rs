@@ -36,8 +36,7 @@ use rand::rngs::StdRng;
 
 use tagwatch_core::utrp::attributed_round;
 use tagwatch_core::{
-    CoreError, MonitorServer, RegistrySnapshot, RoundExecutor, ServerConfig, StateCapture,
-    StateRestore, Verdict,
+    CoreError, MonitorServer, RegistrySnapshot, RoundExecutor, ServerConfig, Verdict,
 };
 use tagwatch_obs::{fnv1a_lines, json_escape, json_f64, FlightDump, Obs, ObsEvent, VerdictKind};
 use tagwatch_sim::{Counter, FaultPlan, MarkovChannel, SeedSequence, Tag, TagId, TagPopulation};
@@ -611,10 +610,7 @@ impl<'a> SoakDriver<'a> {
         let mut preview_rng = self.tick_rng.clone();
         let server = self.session.server();
         let challenge = server.issue_utrp_challenge(&mut preview_rng)?;
-        let mut registry: Vec<(TagId, Counter)> = Vec::new();
-        for id in server.registered_ids() {
-            registry.push((id, server.counter_of(id)?));
-        }
+        let registry = server.snapshot().entries;
         let (dry, attribution) = attributed_round(&registry, &challenge)?;
         let Some(victim) = attribution.iter().flatten().copied().min() else {
             return Ok(None); // nobody replies: defer the burst
@@ -990,7 +986,7 @@ impl<'a> SoakDriver<'a> {
             "registry",
             self.session
                 .server()
-                .capture_state()
+                .snapshot()
                 .to_text()
                 .lines()
                 .map(str::to_owned),
@@ -1103,7 +1099,7 @@ impl<'a> SoakDriver<'a> {
             desync_window: policy.desync_window,
             ..ServerConfig::default()
         };
-        let server = MonitorServer::restore_state(snapshot, server_config)
+        let server = MonitorServer::from_snapshot(snapshot, server_config)
             .map_err(|e| invalid(format!("checkpoint registry rejected: {e}")))?;
 
         let mut ladder = SessionLadderState::default();

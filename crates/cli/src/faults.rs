@@ -23,9 +23,7 @@ use tagwatch_core::faulty::run_honest_reader_with;
 use tagwatch_core::utrp::attributed_round;
 use tagwatch_core::{CoreError, MonitorServer, ServerConfig, Verdict};
 use tagwatch_obs::Obs;
-use tagwatch_sim::{
-    Channel, ChannelConfig, Counter, FaultPlan, SeedSequence, TagId, TagPopulation,
-};
+use tagwatch_sim::{Channel, ChannelConfig, FaultPlan, SeedSequence, TagPopulation};
 
 use crate::parse::CliError;
 
@@ -326,11 +324,7 @@ fn round_plan(
             // round's last announcement: this round stays intact, but
             // its counter ends one short — the next round must be
             // diagnosed as a single-tag lag.
-            let registry: Vec<(TagId, Counter)> = server
-                .registered_ids()
-                .into_iter()
-                .map(|id| (id, server.counter_of(id).expect("registered")))
-                .collect();
+            let registry = server.snapshot().entries;
             let (dry, attribution) = attributed_round(&registry, challenge)?;
             let first = dry
                 .bitstring

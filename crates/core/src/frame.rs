@@ -48,8 +48,8 @@ impl Default for UtrpSizing {
 /// Finds the minimal `f ≥ lo` with `feasible(f)`, assuming monotone
 /// feasibility; `None` if nothing up to [`FrameSize::MAX`] works.
 ///
-/// `FnMut` so the predicate can grow a shared log-factorial table as
-/// the gallop widens.
+/// `FnMut` so the predicate can grow its log-factorial table as the
+/// gallop widens.
 fn min_feasible<F: FnMut(u64) -> bool>(lo: u64, mut feasible: F) -> Option<u64> {
     let cap = FrameSize::MAX;
     let lo = lo.max(1);
@@ -108,130 +108,35 @@ pub fn trp_frame_size_with_model(
     params: &MonitorParams,
     model: EmptySlotModel,
 ) -> Result<FrameSize, CoreError> {
-    FrameSizer::new().trp_with_model(params, model)
-}
+    let n = params.population();
+    let x = params.worst_case_missing();
+    let alpha = params.confidence();
 
-/// Reusable frame-sizing state: one log-factorial table shared across
-/// every TRP *and* UTRP sizing call made through it.
-///
-/// Both Eq. 2 and Eq. 3 searches spend their time in binomial terms
-/// over the same `ln(k!)` values; a [`LnFactorial`] rebuilt per call
-/// (let alone per gallop retry, as the TRP search once did) dominates
-/// sizing cost for large `n`. The sizer instead grows a single table
-/// monotonically — growth is bit-identical to a direct build (see
-/// [`LnFactorial::grow_to`]), so results are exactly those of the free
-/// functions, which now delegate here with a throwaway sizer.
-#[derive(Debug, Clone)]
-pub struct FrameSizer {
-    table: LnFactorial,
-}
-
-impl Default for FrameSizer {
-    fn default() -> Self {
-        FrameSizer::new()
-    }
-}
-
-impl FrameSizer {
-    /// A sizer with an empty table; the first search pays the build.
-    #[must_use]
-    pub fn new() -> Self {
-        FrameSizer {
-            table: LnFactorial::up_to(0),
-        }
-    }
-
-    /// Largest `k` the shared table currently covers (diagnostics).
-    #[must_use]
-    pub fn table_max(&self) -> u64 {
-        self.table.max()
-    }
-
-    /// Eq. 2 with the Poisson empty-slot model: see [`trp_frame_size`].
-    ///
-    /// # Errors
-    ///
-    /// As [`trp_frame_size`].
-    pub fn trp(&mut self, params: &MonitorParams) -> Result<FrameSize, CoreError> {
-        self.trp_with_model(params, EmptySlotModel::Poisson)
-    }
-
-    /// Eq. 2 with an explicit empty-slot model: see
-    /// [`trp_frame_size_with_model`].
-    ///
-    /// # Errors
-    ///
-    /// As [`trp_frame_size`].
-    pub fn trp_with_model(
-        &mut self,
-        params: &MonitorParams,
-        model: EmptySlotModel,
-    ) -> Result<FrameSize, CoreError> {
-        let n = params.population();
-        let x = params.worst_case_missing();
-        let alpha = params.confidence();
-
-        // Detection at frame f needs ln-factorials up to f (and n ≥ x).
-        // Grow ahead of the gallop in power-of-two steps so a search
-        // that overshoots its starting guess extends the same table
-        // instead of rebuilding it.
-        let mut table_cap = (4 * n).clamp(64, FrameSize::MAX);
-        loop {
-            self.table.grow_to(table_cap);
-            let table = &self.table;
-            let feasible = |f: u64| {
-                f <= table_cap && detection_probability_with(table, n, x, f, model) > alpha
-            };
-            match min_feasible(1, feasible) {
-                Some(f) if f <= table_cap => {
-                    return FrameSize::new(f).map_err(CoreError::from);
+    // Detection at frame f needs ln-factorials up to f (and n ≥ x).
+    // Grow ahead of the gallop in power-of-two steps so a search that
+    // overshoots its starting guess extends the same table instead of
+    // rebuilding it (growth is bit-identical to a direct build, see
+    // `LnFactorial::grow_to`).
+    let mut table = LnFactorial::up_to(0);
+    let mut table_cap = (4 * n).clamp(64, FrameSize::MAX);
+    loop {
+        table.grow_to(table_cap);
+        let feasible =
+            |f: u64| f <= table_cap && detection_probability_with(&table, n, x, f, model) > alpha;
+        match min_feasible(1, feasible) {
+            Some(f) if f <= table_cap => {
+                return FrameSize::new(f).map_err(CoreError::from);
+            }
+            _ => {
+                if table_cap >= FrameSize::MAX {
+                    return Err(CoreError::NoFeasibleFrame {
+                        n,
+                        m: params.tolerance(),
+                    });
                 }
-                _ => {
-                    if table_cap >= FrameSize::MAX {
-                        return Err(CoreError::NoFeasibleFrame {
-                            n,
-                            m: params.tolerance(),
-                        });
-                    }
-                    table_cap = (table_cap * 2).min(FrameSize::MAX);
-                }
+                table_cap = (table_cap * 2).min(FrameSize::MAX);
             }
         }
-    }
-
-    /// Eq. 3 over the shared table: see [`utrp_frame_size`].
-    ///
-    /// # Errors
-    ///
-    /// As [`utrp_frame_size`].
-    pub fn utrp(
-        &mut self,
-        params: &MonitorParams,
-        sizing: UtrpSizing,
-    ) -> Result<FrameSize, CoreError> {
-        let n = params.population();
-        let m = params.tolerance();
-        let alpha = params.confidence();
-        if m + 1 >= n {
-            return Err(CoreError::InvalidParams {
-                reason: format!(
-                    "utrp sizing needs n > m + 1 (got n = {n}, m = {m}) so both colluders hold tags"
-                ),
-            });
-        }
-        let table = &mut self.table;
-        let feasible = |f: u64| {
-            utrp_detection_probability_with(
-                table,
-                n,
-                m,
-                f,
-                sizing.sync_budget,
-                EmptySlotModel::Poisson,
-            ) > alpha
-        };
-        let f = min_feasible(1, feasible).ok_or(CoreError::NoFeasibleFrame { n, m })?;
-        FrameSize::new(f + sizing.safety_pad).map_err(CoreError::from)
     }
 }
 
@@ -256,7 +161,29 @@ pub fn trp_detection_at(params: &MonitorParams, f: FrameSize) -> f64 {
 /// colluder split exists) and [`CoreError::NoFeasibleFrame`] if nothing
 /// up to [`FrameSize::MAX`] works.
 pub fn utrp_frame_size(params: &MonitorParams, sizing: UtrpSizing) -> Result<FrameSize, CoreError> {
-    FrameSizer::new().utrp(params, sizing)
+    let n = params.population();
+    let m = params.tolerance();
+    let alpha = params.confidence();
+    if m + 1 >= n {
+        return Err(CoreError::InvalidParams {
+            reason: format!(
+                "utrp sizing needs n > m + 1 (got n = {n}, m = {m}) so both colluders hold tags"
+            ),
+        });
+    }
+    let mut table = LnFactorial::up_to(0);
+    let feasible = |f: u64| {
+        utrp_detection_probability_with(
+            &mut table,
+            n,
+            m,
+            f,
+            sizing.sync_budget,
+            EmptySlotModel::Poisson,
+        ) > alpha
+    };
+    let f = min_feasible(1, feasible).ok_or(CoreError::NoFeasibleFrame { n, m })?;
+    FrameSize::new(f + sizing.safety_pad).map_err(CoreError::from)
 }
 
 #[cfg(test)]
@@ -425,27 +352,5 @@ mod tests {
         let p = MonitorParams::new(2, 0, 0.5).unwrap();
         let f = trp_frame_size(&p).unwrap();
         assert!(f.get() >= 1);
-    }
-
-    #[test]
-    fn shared_sizer_matches_free_functions_across_protocols() {
-        // One sizer, interleaved TRP and UTRP calls over several
-        // parameter sets: every answer must equal the fresh-table free
-        // function's, and the shared table must only ever grow.
-        let mut sizer = FrameSizer::new();
-        let mut last_max = 0;
-        for &(n, m) in &[(2000u64, 30u64), (100, 5), (1000, 10), (500, 10)] {
-            let p = params(n, m);
-            let trp_shared = sizer.trp(&p).unwrap();
-            assert_eq!(trp_shared, trp_frame_size(&p).unwrap(), "trp n={n} m={m}");
-            let utrp_shared = sizer.utrp(&p, UtrpSizing::default()).unwrap();
-            assert_eq!(
-                utrp_shared,
-                utrp_frame_size(&p, UtrpSizing::default()).unwrap(),
-                "utrp n={n} m={m}"
-            );
-            assert!(sizer.table_max() >= last_max, "table shrank");
-            last_max = sizer.table_max();
-        }
     }
 }

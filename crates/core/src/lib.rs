@@ -75,7 +75,6 @@ pub mod params;
 pub mod protocol;
 pub mod registry;
 pub mod server;
-pub mod snapshot;
 pub mod timer;
 pub mod trp;
 pub mod utrp;
@@ -90,8 +89,7 @@ pub use error::CoreError;
 pub use executor::RoundExecutor;
 pub use faulty::{run_device_round_with, run_honest_reader_with, simulate_round_with};
 pub use frame::{
-    trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, FrameSizer,
-    UtrpSizing,
+    trp_detection_at, trp_frame_size, trp_frame_size_with_model, utrp_frame_size, UtrpSizing,
 };
 pub use groups::{GroupedAudit, GroupedMonitor, GroupedReport};
 pub use identify::{identify_missing, Identifier, IdentifyConfig, IdentifyOutcome};
@@ -101,7 +99,6 @@ pub use params::MonitorParams;
 pub use protocol::{Protocol, Trp, Utrp};
 pub use registry::RegistrySnapshot;
 pub use server::{MonitorServer, ResyncHypothesis, ServerConfig};
-pub use snapshot::{StateCapture, StateRestore};
 pub use timer::ResponseTimer;
 pub use trp::TrpChallenge;
 pub use utrp::{UtrpChallenge, UtrpParticipant, UtrpResponse};

@@ -1118,4 +1118,26 @@ mod tests {
             "sweep frame accidentally equals the Eq. 2 optimum; pick another"
         );
     }
+
+    #[test]
+    fn server_capture_restore_is_a_warm_restart() {
+        let ids: Vec<TagId> = (1..=50u64).map(TagId::from).collect();
+        let server = MonitorServer::new(ids.clone(), 2, 0.95).unwrap();
+        // Advance some counters so the state is non-trivial.
+        let mut rng = StdRng::seed_from_u64(3);
+        let _ = server.issue_utrp_challenge(&mut rng).unwrap();
+
+        let state = server.snapshot();
+        let restored =
+            MonitorServer::from_snapshot(state.clone(), ServerConfig::default()).unwrap();
+
+        // The restored server captures back to the identical state,
+        // and issues the identical next challenge for the same RNG.
+        assert_eq!(restored.snapshot(), state);
+        let mut ra = StdRng::seed_from_u64(9);
+        let mut rb = StdRng::seed_from_u64(9);
+        let ca = server.issue_utrp_challenge(&mut ra).unwrap();
+        let cb = restored.issue_utrp_challenge(&mut rb).unwrap();
+        assert_eq!(format!("{ca:?}"), format!("{cb:?}"));
+    }
 }

@@ -1,16 +1,12 @@
-//! Structured telemetry events and the sink abstraction.
+//! Structured telemetry events.
 //!
 //! [`ObsEvent`] is the flight-recorder vocabulary: one compact,
 //! heap-free variant per protocol-level happening (a round completing,
 //! a verdict, a resync rung, a quarantine transition, a soak invariant
 //! tripping). Events deliberately carry plain integers rather than
 //! domain types so this crate stays a leaf — the layers above map
-//! their richer types down when they emit.
-//!
-//! [`EventSink`] is the common mouth every event stream feeds:
-//! the bounded [`FlightRecorder`](crate::FlightRecorder) here and
-//! `tagwatch_sim::Trace`'s air-interface log both implement it, so
-//! drivers can be generic over where their events land.
+//! their richer types down when they emit into the bounded
+//! [`FlightRecorder`](crate::FlightRecorder).
 
 use std::fmt::Write as _;
 
@@ -242,32 +238,6 @@ impl ObsEvent {
     }
 }
 
-/// Anything that accepts a stream of events.
-///
-/// Implemented by [`FlightRecorder`](crate::FlightRecorder) (for
-/// [`ObsEvent`]) and by `tagwatch_sim::Trace` (for its timestamped
-/// air-interface events), so recording code can be written once
-/// against the sink rather than a concrete buffer.
-pub trait EventSink<E> {
-    /// Accepts one event. Implementations must not fail; bounded sinks
-    /// drop (and count) instead.
-    fn accept(&mut self, event: E);
-
-    /// Events discarded so far to respect a capacity bound.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// The throwaway sink: accepts and discards everything. Useful as the
-/// disabled-path default in code generic over a sink.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl<E> EventSink<E> for NullSink {
-    fn accept(&mut self, _event: E) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,12 +294,5 @@ mod tests {
     fn verdicts_and_protocols_have_wire_names() {
         assert_eq!(VerdictKind::NotIntact.name(), "not_intact");
         assert_eq!(ProtoKind::Trp.name(), "trp");
-    }
-
-    #[test]
-    fn null_sink_swallows_everything() {
-        let mut sink = NullSink;
-        EventSink::<u32>::accept(&mut sink, 7);
-        assert_eq!(EventSink::<u32>::dropped(&sink), 0);
     }
 }

@@ -14,9 +14,7 @@
 //! - **[`FlightRecorder`] + [`ObsEvent`]** — a bounded, drop-oldest
 //!   ring of structured events, captured into a [`FlightDump`]
 //!   postmortem on failure triggers (soak invariant violations,
-//!   desynced verdicts, quarantine transitions). The [`EventSink`]
-//!   trait is the common mouth this ring shares with
-//!   `tagwatch_sim::Trace`.
+//!   desynced verdicts, quarantine transitions).
 //! - **[`SpanRecorder`]** — deterministic span tracing: a session →
 //!   tick → round tree whose spans are timed by the *cost clock*
 //!   (slots elapsed, probes issued, ticks) instead of wall time, with
@@ -41,7 +39,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod span;
 
-pub use event::{EventSink, NullSink, ObsEvent, ProtoKind, VerdictKind};
+pub use event::{ObsEvent, ProtoKind, VerdictKind};
 pub use export::{
     fnv1a_bytes, fnv1a_lines, json_escape, json_f64, to_prometheus_text, FNV_OFFSET_BASIS,
     FNV_PRIME, PROM_PREFIX,

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use crate::event::{EventSink, ObsEvent};
+use crate::event::ObsEvent;
 
 /// Default ring capacity: enough for thousands of round/tick events —
 /// a generous postmortem window — while bounding memory to a few
@@ -122,16 +122,6 @@ impl FlightRecorder {
 impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl EventSink<ObsEvent> for FlightRecorder {
-    fn accept(&mut self, event: ObsEvent) {
-        self.push(event);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 

@@ -1,6 +1,6 @@
 //! # tagwatch-sim
 //!
-//! Discrete-event RFID PHY/MAC simulation substrate for the `tagwatch`
+//! Slot-level RFID PHY/MAC simulation substrate for the `tagwatch`
 //! missing-tag monitoring system (a reproduction of Tan, Sheng & Li,
 //! *"How to Monitor for Missing RFID Tags"*, ICDCS 2008).
 //!
@@ -8,8 +8,7 @@
 //! *time slot* of a framed-slotted-ALOHA round as the unit of cost. This
 //! crate provides that substrate, built from scratch:
 //!
-//! * [`time`] — simulated clock types ([`SimTime`], [`SimDuration`]).
-//! * [`event`] — a deterministic discrete-event scheduler.
+//! * [`time`] — the simulated air-time span ([`SimDuration`]).
 //! * [`hash`] — the deterministic slot-pick hash `h(id ⊕ r) mod f` that
 //!   both tags and the server evaluate (the cornerstone of TRP/UTRP).
 //! * [`tag`] — the passive-tag device model: 96-bit EPC-style ID, the
@@ -23,12 +22,11 @@
 //!   robustness testing, complementing [`radio`]'s probabilistic knobs.
 //! * [`markov`] — Markov-modulated channel evolution (named quality
 //!   levels + transition matrix) for long-horizon soak runs.
-//! * [`reader`] — the interrogator device that broadcasts frames and
-//!   observes slot outcomes.
+//! * [`reader`] — the interrogator device that broadcasts frames,
+//!   resolves their slots in order, and bills the air time.
 //! * [`aloha`] — framed-slotted-ALOHA round descriptors and executions.
 //! * [`timing`] — an EPC-Gen2-inspired air-interface timing model, so
 //!   slot counts can also be converted into microseconds.
-//! * [`trace`] — structured event traces for debugging and assertions.
 //! * [`rng`] — deterministic seed derivation for reproducible trials.
 //! * [`epc`] — SGTIN-96 EPC encoding, for production-shaped identities.
 //!
@@ -59,7 +57,6 @@
 pub mod aloha;
 pub mod epc;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod hash;
 pub mod ident;
@@ -71,12 +68,10 @@ pub mod rng;
 pub mod tag;
 pub mod time;
 pub mod timing;
-pub mod trace;
 
 pub use aloha::{FrameExecution, FramePlan, FrameStats, SlotIndex};
 pub use epc::{sgtin_batch, Sgtin96};
 pub use error::SimError;
-pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultInjector, FaultPlan, StorageFault, StorageFaultPlan};
 pub use hash::{slot_for, slot_for_counted, FastMod, SlotHasher};
 pub use ident::{FrameSize, Nonce, TagId};
@@ -86,9 +81,8 @@ pub use radio::{Channel, ChannelConfig, SlotOutcome};
 pub use reader::{Reader, ReaderConfig};
 pub use rng::SeedSequence;
 pub use tag::{Counter, Tag, TagState};
-pub use time::{SimDuration, SimTime};
+pub use time::SimDuration;
 pub use timing::TimingModel;
-pub use trace::{Trace, TraceEvent};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
@@ -103,6 +97,6 @@ pub mod prelude {
     pub use crate::reader::{Reader, ReaderConfig};
     pub use crate::rng::SeedSequence;
     pub use crate::tag::{Counter, Tag, TagState};
-    pub use crate::time::{SimDuration, SimTime};
+    pub use crate::time::SimDuration;
     pub use crate::timing::TimingModel;
 }

@@ -7,35 +7,31 @@
 //! it, while the Monte-Carlo fast paths in downstream crates use the
 //! bulk predictors of [`crate::aloha`] and are tested to agree with it.
 //!
-//! Each frame is sequenced through the discrete-event kernel
-//! ([`crate::event::EventQueue`]): the announcement and every slot are
-//! scheduled at their air-interface times from the [`TimingModel`], so
-//! the reader's clock reflects exactly what a timed run would observe.
+//! A frame is a plain slot loop, as in the paper's cost model (§6): the
+//! slots are resolved on the channel in order, then the frame's air time
+//! is billed from the realized outcomes under the [`TimingModel`], so the
+//! reader's clock reflects exactly what a timed run would observe.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::aloha::{FrameExecution, FramePlan};
 use crate::error::SimError;
-use crate::event::EventQueue;
 use crate::ident::TagId;
 use crate::population::TagPopulation;
 use crate::radio::{Channel, SlotOutcome};
 use crate::tag::{SlotMode, TagReply, TagState};
-use crate::time::SimTime;
+use crate::time::SimDuration;
 use crate::timing::TimingModel;
-use crate::trace::{Trace, TraceEvent};
 
 /// Reader configuration.
 ///
-/// The default is the paper's cost model: uniform slot timing, tracing
-/// off, RNG seed 0.
+/// The default is the paper's cost model: uniform slot timing, RNG
+/// seed 0.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReaderConfig {
     /// Air-interface timing used to advance the simulated clock.
     pub timing: TimingModel,
-    /// Whether to record a [`Trace`] of every air event.
-    pub trace_enabled: bool,
     /// Seed for the reader's internal RNG (used only by non-ideal
     /// channels for failure injection).
     pub seed: u64,
@@ -64,16 +60,8 @@ pub struct CollectionRound {
 pub struct Reader {
     config: ReaderConfig,
     rng: StdRng,
-    trace: Trace,
-    clock: SimTime,
+    clock: SimDuration,
     slots_used: u64,
-}
-
-/// Internal per-frame air event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AirEvent {
-    Announce,
-    Slot(u64),
 }
 
 impl Reader {
@@ -82,13 +70,8 @@ impl Reader {
     pub fn new(config: ReaderConfig) -> Self {
         Reader {
             rng: StdRng::seed_from_u64(config.seed),
-            trace: if config.trace_enabled {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
             config,
-            clock: SimTime::ZERO,
+            clock: SimDuration::ZERO,
             slots_used: 0,
         }
     }
@@ -99,15 +82,10 @@ impl Reader {
         &self.config
     }
 
-    /// The recorded trace (empty if tracing is disabled).
+    /// Simulated air time elapsed since the reader started (or was last
+    /// [reset](Reader::reset)).
     #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Current simulated clock.
-    #[must_use]
-    pub fn clock(&self) -> SimTime {
+    pub fn clock(&self) -> SimDuration {
         self.clock
     }
 
@@ -117,13 +95,12 @@ impl Reader {
         self.slots_used
     }
 
-    /// Resets clock, slot counter, trace, and RNG to their initial
-    /// state (a fresh monitoring session).
+    /// Resets clock, slot counter, and RNG to their initial state (a
+    /// fresh monitoring session).
     pub fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.config.seed);
-        self.clock = SimTime::ZERO;
+        self.clock = SimDuration::ZERO;
         self.slots_used = 0;
-        self.trace.clear();
     }
 
     /// Runs one full *presence* frame (TRP, Algs. 1–3): every ready tag
@@ -157,7 +134,7 @@ impl Reader {
                 bits: crate::hash::short_reply_bits(tag.id(), crate::ident::Nonce::new(sn)),
             });
         }
-        self.drive_frame(plan, replies, channel, false)
+        Ok(self.drive_frame(plan, &replies, channel, false))
     }
 
     /// Runs one full *collection* frame: ready tags answer with their
@@ -187,7 +164,7 @@ impl Reader {
                 replies[sn as usize].push(reply);
             }
         }
-        let execution = self.drive_frame(plan, replies, channel, true)?;
+        let execution = self.drive_frame(plan, &replies, channel, true);
 
         let mut collected = Vec::new();
         let mut collided_slots = 0;
@@ -210,66 +187,30 @@ impl Reader {
         })
     }
 
-    /// Sequences a frame through the event kernel and resolves each slot
-    /// on the channel.
+    /// Resolves a frame's slots on the channel in slot order, then bills
+    /// its air time and advances the clock and slot counter.
     fn drive_frame(
         &mut self,
         plan: &FramePlan,
-        replies: Vec<Vec<TagReply>>,
+        replies: &[Vec<TagReply>],
         channel: &Channel,
         collection: bool,
-    ) -> Result<FrameExecution, SimError> {
-        let f = plan.frame_size();
-        let timing = &self.config.timing;
-
-        let mut queue: EventQueue<AirEvent> = EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, AirEvent::Announce)?;
-
-        let mut outcomes: Vec<SlotOutcome> = Vec::with_capacity(f.as_usize());
-        let mut cursor = SimTime::ZERO + timing.frame_announce;
-        for sn in 0..f.get() {
-            cursor += timing.slot_broadcast;
-            queue.schedule_at(cursor, AirEvent::Slot(sn))?;
-            // Reserve the worst-case slot body; actual outcome duration
-            // is accounted below once known.
-            cursor += timing.empty_slot;
-        }
-
-        let frame_start = self.clock;
-        while let Some(event) = queue.pop() {
-            match event.into_event() {
-                AirEvent::Announce => {
-                    self.trace.record(
-                        frame_start + queue.now().saturating_since(SimTime::ZERO),
-                        TraceEvent::FrameAnnounced { f, r: plan.nonce() },
-                    );
-                }
-                AirEvent::Slot(sn) => {
-                    let outcome = channel.resolve_slot(&replies[sn as usize], &mut self.rng);
-                    self.trace.record(
-                        frame_start + queue.now().saturating_since(SimTime::ZERO),
-                        TraceEvent::SlotResolved { slot: sn, outcome },
-                    );
-                    outcomes.push(outcome);
-                }
-            }
-        }
+    ) -> FrameExecution {
+        let outcomes: Vec<SlotOutcome> = replies
+            .iter()
+            .map(|slot| channel.resolve_slot(slot, &mut self.rng))
+            .collect();
 
         // Bill exact air time from the realized outcomes.
+        let timing = &self.config.timing;
         let duration = if collection {
             timing.collection_frame_duration(&outcomes)
         } else {
             timing.frame_duration(&outcomes)
         };
         self.clock += duration;
-        self.slots_used += f.get();
-        self.trace.record(
-            self.clock,
-            TraceEvent::RoundCompleted {
-                slots_used: f.get(),
-            },
-        );
-        Ok(FrameExecution::new(*plan, outcomes, duration))
+        self.slots_used += plan.frame_size().get();
+        FrameExecution::new(*plan, outcomes, duration)
     }
 }
 
@@ -376,49 +317,26 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         let tags = TagPopulation::with_sequential_ids(5);
-        let mut reader = Reader::new(ReaderConfig {
-            trace_enabled: true,
-            ..ReaderConfig::default()
-        });
+        let mut reader = Reader::new(ReaderConfig::default());
         reader
             .run_presence_frame(&plan(8, 1), &tags, &Channel::ideal())
             .unwrap();
         assert!(reader.slots_used() > 0);
         reader.reset();
         assert_eq!(reader.slots_used(), 0);
-        assert_eq!(reader.clock(), SimTime::ZERO);
-        assert!(reader.trace().is_empty());
+        assert_eq!(reader.clock(), SimDuration::ZERO);
     }
 
     #[test]
-    fn trace_records_announce_slots_and_completion() {
+    fn a_frame_resolves_every_slot_and_bills_once() {
         let tags = TagPopulation::with_sequential_ids(3);
-        let mut reader = Reader::new(ReaderConfig {
-            trace_enabled: true,
-            ..ReaderConfig::default()
-        });
-        reader
+        let mut reader = Reader::new(ReaderConfig::default());
+        let exec = reader
             .run_presence_frame(&plan(4, 1), &tags, &Channel::ideal())
             .unwrap();
-        let trace = reader.trace();
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::FrameAnnounced { .. }))
-                .count(),
-            1
-        );
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::SlotResolved { .. }))
-                .count(),
-            4
-        );
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::RoundCompleted { .. }))
-                .count(),
-            1
-        );
+        assert_eq!(exec.outcomes().len(), 4);
+        assert_eq!(reader.slots_used(), 4);
+        assert_eq!(reader.clock(), exec.duration());
     }
 
     #[test]

@@ -1,105 +1,17 @@
 //! Simulated-time primitives.
 //!
 //! All simulation time is expressed in integer **microseconds** to keep
-//! arithmetic exact and runs reproducible. [`SimTime`] is a point on the
-//! simulated timeline; [`SimDuration`] is a span between two points.
-//! These are deliberate newtypes ([C-NEWTYPE]) so that slot counts,
-//! wall-clock time, and simulated time can never be confused.
+//! arithmetic exact and runs reproducible. [`SimDuration`] is a span of
+//! simulated air time; a reader's clock is the total span it has billed
+//! since it started. It is a deliberate newtype ([C-NEWTYPE]) so that
+//! slot counts, wall-clock time, and simulated time can never be
+//! confused.
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
-
-/// A point in simulated time, measured in microseconds since the start
-/// of the simulation.
-///
-/// ```rust
-/// use tagwatch_sim::time::{SimDuration, SimTime};
-///
-/// let t0 = SimTime::ZERO;
-/// let t1 = t0 + SimDuration::from_micros(250);
-/// assert_eq!(t1.as_micros(), 250);
-/// assert_eq!(t1 - t0, SimDuration::from_micros(250));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct SimTime(u64);
-
-impl SimTime {
-    /// The origin of the simulated timeline.
-    pub const ZERO: SimTime = SimTime(0);
-
-    /// Creates a time point from microseconds since the origin.
-    #[must_use]
-    pub const fn from_micros(micros: u64) -> Self {
-        SimTime(micros)
-    }
-
-    /// Microseconds since the origin.
-    #[must_use]
-    pub const fn as_micros(self) -> u64 {
-        self.0
-    }
-
-    /// Seconds since the origin, as a float (for reporting only).
-    #[must_use]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// Returns the later of two time points.
-    #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}us", self.0)
-    }
-}
-
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-
-    /// # Panics
-    ///
-    /// Panics in debug builds if `rhs` is later than `self` (duration
-    /// would be negative). Use [`SimTime::saturating_since`] when the
-    /// ordering is not statically known.
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        debug_assert!(self.0 >= rhs.0, "negative SimDuration");
-        SimDuration(self.0 - rhs.0)
-    }
-}
 
 /// A span of simulated time, measured in microseconds.
 ///
@@ -208,26 +120,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_arithmetic_round_trips() {
-        let t = SimTime::from_micros(1_000);
+    fn duration_arithmetic_round_trips() {
+        let a = SimDuration::from_micros(1_000);
         let d = SimDuration::from_micros(234);
-        assert_eq!((t + d) - t, d);
-        assert_eq!((t + d).as_micros(), 1_234);
+        assert_eq!((a + d) - a, d);
+        assert_eq!((a + d).as_micros(), 1_234);
     }
 
     #[test]
     fn add_assign_advances_clock() {
-        let mut t = SimTime::ZERO;
+        let mut t = SimDuration::ZERO;
         t += SimDuration::from_millis(2);
         assert_eq!(t.as_micros(), 2_000);
     }
 
     #[test]
-    fn saturating_since_clamps_to_zero() {
-        let early = SimTime::from_micros(5);
-        let late = SimTime::from_micros(9);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early).as_micros(), 4);
+    fn saturating_sub_clamps_to_zero() {
+        let early = SimDuration::from_micros(5);
+        let late = SimDuration::from_micros(9);
+        assert_eq!(early.saturating_sub(late), SimDuration::ZERO);
+        assert_eq!(late.saturating_sub(early).as_micros(), 4);
     }
 
     #[test]
@@ -250,16 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn max_picks_later_point() {
-        let a = SimTime::from_micros(7);
-        let b = SimTime::from_micros(3);
-        assert_eq!(a.max(b), a);
-        assert_eq!(b.max(a), a);
-    }
-
-    #[test]
     fn display_formats_microseconds() {
-        assert_eq!(SimTime::from_micros(42).to_string(), "42us");
         assert_eq!(SimDuration::from_micros(7).to_string(), "7us");
     }
 
@@ -272,6 +175,5 @@ mod tests {
     #[test]
     fn seconds_conversion() {
         assert!((SimDuration::from_micros(1_500_000).as_secs_f64() - 1.5).abs() < 1e-12);
-        assert!((SimTime::from_micros(250_000).as_secs_f64() - 0.25).abs() < 1e-12);
     }
 }

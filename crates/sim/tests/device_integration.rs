@@ -1,12 +1,11 @@
-//! Device-level integration: readers, tags, channel and trace working
-//! together, with timing invariants under both timing models.
+//! Device-level integration: readers, tags and channel working together,
+//! with timing invariants under both timing models.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tagwatch_sim::aloha::FramePlan;
 use tagwatch_sim::prelude::*;
-use tagwatch_sim::trace::TraceEvent;
 
 fn plan(f: u64, r: u64) -> FramePlan {
     FramePlan::new(FrameSize::new(f).unwrap(), Nonce::new(r))
@@ -19,7 +18,6 @@ fn a_full_inventory_day_on_one_reader() {
     // rounds.
     let mut reader = Reader::new(ReaderConfig {
         timing: TimingModel::gen2(),
-        trace_enabled: true,
         seed: 0,
     });
     let mut floor = TagPopulation::with_sequential_ids(120);
@@ -41,21 +39,14 @@ fn a_full_inventory_day_on_one_reader() {
         .unwrap();
     assert_eq!(evening.occupancy_bits().len(), 256);
 
-    assert_eq!(reader.slots_used(), 256 + 512 + 256);
-    // Clock equals the sum of the three executions' durations.
-    let expected = morning.duration() + midday.execution.duration() + evening.duration();
-    assert_eq!(reader.clock().saturating_since(SimTime::ZERO), expected);
-    // Trace saw three announcements and three completions.
-    let announces = reader
-        .trace()
-        .filter(|e| matches!(e, TraceEvent::FrameAnnounced { .. }))
-        .count();
-    let completions = reader
-        .trace()
-        .filter(|e| matches!(e, TraceEvent::RoundCompleted { .. }))
-        .count();
-    assert_eq!(announces, 3);
-    assert_eq!(completions, 3);
+    // Three frames ran: the slot counter and the clock are the sums
+    // over exactly those three executions.
+    let executions = [&morning, &midday.execution, &evening];
+    let slots: u64 = executions.iter().map(|e| e.plan().frame_size().get()).sum();
+    assert_eq!(slots, 256 + 512 + 256);
+    assert_eq!(reader.slots_used(), slots);
+    let expected: SimDuration = executions.iter().map(|e| e.duration()).sum();
+    assert_eq!(reader.clock(), expected);
 }
 
 #[test]
@@ -147,24 +138,14 @@ fn capture_heavy_channel_speeds_up_collection() {
 }
 
 #[test]
-fn trace_slot_indices_cover_the_frame_in_order() {
-    let mut reader = Reader::new(ReaderConfig {
-        trace_enabled: true,
-        ..ReaderConfig::default()
-    });
+fn every_slot_of_the_frame_is_resolved() {
+    let mut reader = Reader::new(ReaderConfig::default());
     let floor = TagPopulation::with_sequential_ids(10);
-    reader
+    let exec = reader
         .run_presence_frame(&plan(32, 2), &floor, &Channel::ideal())
         .unwrap();
-    let slots: Vec<u64> = reader
-        .trace()
-        .iter()
-        .filter_map(|(_, e)| match e {
-            TraceEvent::SlotResolved { slot, .. } => Some(*slot),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(slots, (0..32).collect::<Vec<_>>());
+    assert_eq!(exec.outcomes().len(), 32);
+    assert_eq!(exec.stats().total(), 32);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `tagwatch-sim` | discrete-event RFID substrate: tags, readers, channel, slotted ALOHA, timing |
+//! | [`sim`] | `tagwatch-sim` | slot-level RFID substrate: tags, readers, channel, slotted ALOHA, timing |
 //! | [`core`] | `tagwatch-core` | the paper's protocols: TRP, UTRP, frame-sizing math, the monitoring server |
 //! | [`protocols`] | `tagwatch-protocols` | baselines: collect-all DFSA, query tree, cardinality estimation |
 //! | [`attack`] | `tagwatch-attack` | adversaries: replay, split-set collusion, budgeted UTRP colluders |
@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use tagwatch_sim::{
         Channel, ChannelConfig, Counter, FrameSize, Nonce, Reader, ReaderConfig, Sgtin96,
-        SimDuration, SimError, SimTime, TagId, TagPopulation, TimingModel,
+        SimDuration, SimError, TagId, TagPopulation, TimingModel,
     };
 }
 
